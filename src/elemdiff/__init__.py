@@ -12,10 +12,10 @@ from .trees import (Permutation, RetargetResult, Tree, all_permutations,
 from .multiindex import (MultiIndex, enumerate_multi_indices, project_arities,
                          relabel_multi_index, tree_with_arities)
 from .jets import (Jet, add, assemble, component, eval_at_zero,
-                   linear_combination, monomial_basis, monomial_basis_size,
-                   monomial_jet, monomials_up_to, mul_scalar, multi_partial,
-                   partial, random_jet, random_jet_tuple, restrict, scale,
-                   truncate, zero_jet)
+                   monomial_basis, monomial_basis_size, monomial_jet,
+                   monomials_up_to, mul_scalar, multi_partial, partial,
+                   random_jet, random_jet_tuple, restrict, scale, truncate,
+                   zero_jet)
 from .differentials import (corolla_witness_family, eval_multiindex,
                             eval_tree, eval_tree_labelled,
                             find_distinguishing_witness, left_chain,

@@ -22,11 +22,12 @@ from .errors import ElemdiffError, PreconditionError, SizeLimitError
 from .groups import (character_table, conjugacy_classes, constraint_scan,
                      subgroup_classes, tree_fixed_character)
 from .jets import Jet
-from .labelling import dimension_labelled
+from .labelling import (MAX_CANON_VERTICES, canonicalize_labelled,
+                        dimension_labelled)
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .relations import (block_basis, certify_relation, dimension_lw,
                         dimension_w)
-from .trees import Tree, enumerate_trees
+from .trees import Tree, canonical_code, enumerate_trees
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,38 @@ def _parents_text(tree: Tree) -> str:
     return "[" + ",".join(str(p) for p in tree.parent_list()) + "]"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _load_relation(path: str):
+    """(d, terms) from a relation file; a malformed file is a PreconditionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not (isinstance(raw, dict) and _is_int(raw.get("d"))
+            and isinstance(raw.get("terms"), list)):
+        raise PreconditionError('relation file must hold {"d": <int>, "terms": [...]}')
+    terms = []
+    for item in raw["terms"]:
+        item = item if isinstance(item, dict) else {}
+        tree, labels = item.get("tree"), item.get("labels")
+        if not (isinstance(tree, list) and all(_is_int(p) for p in tree) and "coeff" in item
+                and (labels is None or isinstance(labels, list)
+                     and all(_is_int(x) and x >= 1 for x in labels))):
+            raise PreconditionError(
+                'each term needs a "coeff", a "tree" parent list and optional '
+                'positive integer "labels"')
+        try:
+            coeff = Fraction(str(item["coeff"]))
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"bad coefficient {item['coeff']!r}")
+        tree = Tree.from_parents(tree)
+        terms.append((coeff, tree if labels is None else (tree, tuple(labels))))
+    if len({isinstance(row, tuple) for _, row in terms}) > 1:
+        raise PreconditionError("either every term carries labels or none does")
+    return raw["d"], terms
+
+
 def _load_jets(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -76,12 +109,15 @@ def _cmd_trees_enum(args, config):
 
 
 def _orbit_representatives(n: int) -> list:
-    from .trees import all_permutations, relabel
-    reps = {}
+    """Lex-min member of every relabelling orbit: one tree per shape,
+    canonicalised as a one-colour labelled tree."""
+    if n > MAX_CANON_VERTICES:
+        raise SizeLimitError(f"trees canon needs n <= {MAX_CANON_VERTICES}")
+    shapes = {}
     for t in enumerate_trees(n):
-        best = min(relabel(t, s).entries for s in all_permutations(n))
-        reps.setdefault(best, Tree(best))
-    return [reps[k] for k in sorted(reps)]
+        shapes.setdefault(canonical_code(t), t)
+    reps = [canonicalize_labelled(t, (1,) * n).tree for t in shapes.values()]
+    return sorted(reps, key=lambda t: t.entries)
 
 
 def _cmd_trees_canon(args, config):
@@ -166,17 +202,7 @@ def _cmd_identity_s2d(args, config):
 
 
 def _cmd_identity_certify(args, config):
-    with open(args.relation, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    d = raw["d"]
-    terms = []
-    for item in raw["terms"]:
-        tree = Tree.from_parents(item["tree"])
-        coeff = Fraction(str(item["coeff"]))
-        if "labels" in item and item["labels"] is not None:
-            terms.append((coeff, (tree, tuple(item["labels"]))))
-        else:
-            terms.append((coeff, tree))
+    d, terms = _load_relation(args.relation)
     result = certify_relation(terms, d, config, exhaustive=args.exhaustive)
     payload = {
         "d": d,
@@ -257,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     common.add_argument("--column-budget", type=int, default=DEFAULT_COLUMN_BUDGET)
-    common.add_argument("--threads", type=int, default=0,
-                        help="0 = available parallelism (or ELEMDIFF_THREADS)")
     common.add_argument("--format", choices=["json", "csv", "text"], default=None)
     common.add_argument("--degree", type=int, default=None,
                         help="override the evaluation truncation degree")
@@ -347,7 +371,6 @@ def main(argv=None) -> int:
             column_budget=args.column_budget,
             degree_override=args.degree,
             output_format=args.format,
-            threads=args.threads,
             random_bound=args.bound,
         )
         artifact = args.handler(args, config)

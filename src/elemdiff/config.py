@@ -1,8 +1,7 @@
-"""Run configuration: seeding, the modular prime, budgets, parallelism."""
+"""Run configuration: seeding, the modular prime, budgets, output format."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from .errors import PreconditionError
@@ -46,7 +45,6 @@ class RunConfig:
     column_budget: int = DEFAULT_COLUMN_BUDGET
     degree_override: int | None = None
     output_format: str | None = None  # commands pick their natural default
-    threads: int = 0  # 0 = automatic
     random_bound: int = DEFAULT_RANDOM_BOUND
 
     def __post_init__(self):
@@ -64,18 +62,9 @@ class RunConfig:
             raise PreconditionError(f"unknown output format {self.output_format!r}")
 
     def resolved_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("ELEMDIFF_THREADS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise PreconditionError(f"ELEMDIFF_THREADS={env!r} is not an integer")
-            if value < 1:
-                raise PreconditionError("ELEMDIFF_THREADS must be positive")
-            return value
-        return os.cpu_count() or 1
+        """Always 1: every computation runs serially.  Kept for callers that
+        report the thread count of their environment."""
+        return 1
 
     def with_options(self, **kw) -> RunConfig:
         return replace(self, **kw)

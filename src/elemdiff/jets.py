@@ -250,10 +250,3 @@ def random_jet_tuple(rng, count: int, d: int, degree: int, bound: int,
                      ncomps: int | None = None) -> tuple[Jet, ...]:
     return tuple(random_jet(rng, d, degree, bound, ncomps) for _ in range(count))
 
-
-def linear_combination(pairs, d: int, degree: int, ncomps: int) -> Jet:
-    """Sum of coeff*jet over (coeff, jet) pairs, all of one shape."""
-    acc = zero_jet(d, degree, ncomps)
-    for q, jet in pairs:
-        acc = add(acc, scale(q, jet))
-    return acc

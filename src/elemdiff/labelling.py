@@ -14,7 +14,8 @@ from typing import Mapping, Optional
 
 from .config import RunConfig
 from .errors import MismatchError, PreconditionError, SizeLimitError
-from .relations import DimensionCertificate, dimension_certificate
+from .relations import (DimensionCertificate, _dimension_guard,
+                        dimension_certificate)
 from .trees import Tree, all_permutations, relabel, enumerate_trees
 
 MAX_CANON_VERTICES = 6
@@ -139,8 +140,7 @@ def dimension_labelled(d: int, n: int, multiplicities,
     labels[v-1], so repeated colours mean repeated functions.
     """
     config = config or RunConfig()
-    if d >= 3 and n > 4 or n > 5:
-        raise SizeLimitError("labelled dimension runs are desk scale")
+    _dimension_guard(d, n)
     multiplicities = tuple(multiplicities)
     ell = len(multiplicities)
     reps = enumerate_labelled(n, ell, multiplicities)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -30,7 +29,8 @@ from .config import RunConfig
 from .differentials import monomial_term, tree_value_at_zero
 from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
-from .jets import monomials_up_to, random_jet_tuple
+from .jets import (monomial_basis_size, monomial_jet, monomials_up_to,
+                   random_jet_tuple)
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .trees import Tree, Permutation, enumerate_trees, relabel
 
@@ -135,29 +135,22 @@ def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig,
         )
         data = _entries_random(rows, tuples, n, ell, d, degree, scheme.bound)
     elif isinstance(scheme, ExhaustiveMonomials):
-        from .jets import monomial_basis_size
         count = monomial_basis_size(d, degree) ** ell
         if count * d > config.column_budget:
             raise SizeLimitError(
                 f"exhaustive scheme wants {count * d} columns, budget {config.column_budget}")
-        monos = [(alpha, k) for alpha in monomials_up_to(d, degree) for k in range(1, d + 1)]
-        tuples = tuple(itertools.product(monos, repeat=ell))
+        tuples = tuple(itertools.product(_monomial_items(d, degree), repeat=ell))
         data = []
         for row in rows:
             tree = _row_tree(row)
             labels = _row_labels(row, n)
             out = []
             for tup in tuples:
-                slots = {v: tup[labels[v - 1] - 1] for v in tree.vertices}
-                val = monomial_term(tree, slots)
-                for k in range(1, d + 1):
-                    if val.coeff and val.comp == k and not any(val.exponent):
-                        out.append(val.coeff)
-                    else:
-                        out.append(0)
+                hit = _origin_value(tree, labels, tup)
+                out.extend(hit[1] if hit and hit[0] == k else 0 for k in range(1, d + 1))
             data.append(out)
         tuples = tuple(
-            tuple(_monomial_as_jet(d, degree, alpha, k) for alpha, k in tup) for tup in tuples
+            tuple(monomial_jet(d, degree, alpha, k) for alpha, k in tup) for tup in tuples
         )
     else:
         raise PreconditionError(f"unknown column scheme {scheme!r}")
@@ -167,18 +160,24 @@ def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig,
                       provenance=scheme.describe())
 
 
-def _monomial_as_jet(d, degree, alpha, k):
-    from .jets import monomial_jet
-    return monomial_jet(d, degree, alpha, k)
+def _monomial_items(d: int, degree: int) -> list:
+    """Every monomial input (alpha, component) of truncation degree `degree`."""
+    return [(alpha, k) for alpha in monomials_up_to(d, degree) for k in range(1, d + 1)]
+
+
+def _origin_value(tree: Tree, labels, tup):
+    """Value at the origin of one row on one monomial tuple, as
+    (component, coeff), or None when it vanishes there."""
+    val = monomial_term(tree, {v: tup[labels[v - 1] - 1] for v in tree.vertices})
+    if val.coeff and not any(val.exponent):
+        return val.comp, val.coeff
+    return None
 
 
 def _entries_random(rows, tuples, n, ell, d, degree, bound):
     worst = (d ** n) * ((math.factorial(n - 1) * bound) ** n)
     if worst < (1 << 62):
-        try:
-            return _entries_random_batched(rows, tuples, n, ell, d, degree, bound)
-        except ImportError:
-            pass
+        return _entries_random_batched(rows, tuples, n, ell, d, degree, bound)
     return _entries_random_exact(rows, tuples, n, ell, d)
 
 
@@ -479,82 +478,45 @@ def certify_relation(terms, d: int, config: RunConfig,
     other tuple evaluates to zero at the origin separately for every term
     (the closed form carries total degree minus n-1), so skipping them loses
     nothing.  `exhaustive` sweeps every tuple instead - same verdict, used
-    as a cross-check oracle on small cases.
+    as a cross-check oracle on small cases.  The witness is the first
+    nonzero tuple in sweep order.  The sweep reads no setting from `config`.
     """
+    _check_dimension(d)
     terms = [(Fraction(c), row) for c, row in terms]
-    rows = [row for _, row in terms]
-    n, ell, weights = _rows_shape(rows)
+    n, ell, weights = _rows_shape([row for _, row in terms])
     degree = n - 1
-
-    prepared = []
-    for coeff, row in terms:
-        tree = _row_tree(row)
-        labels = _row_labels(row, n)
-        prepared.append((coeff, tree, labels))
-
-    def value_on(tup):
-        out = {}
-        for coeff, tree, labels in prepared:
-            slots = {v: tup[labels[v - 1] - 1] for v in tree.vertices}
-            val = monomial_term(tree, slots)
-            if val.coeff and not any(val.exponent):
-                out[val.comp] = out.get(val.comp, Fraction(0)) + coeff * val.coeff
-        return {k: q for k, q in out.items() if q}
-
+    prepared = [(coeff, _row_tree(row), _row_labels(row, n)) for coeff, row in terms]
     if exhaustive:
-        monos = [(alpha, k) for alpha in monomials_up_to(d, degree) for k in range(1, d + 1)]
-        stream = itertools.product(monos, repeat=ell)
-        skipped = 0
+        stream = itertools.product(_monomial_items(d, degree), repeat=ell)
     else:
         stream = _layer_tuples(d, ell, weights, degree)
-        full = (len(monomials_up_to(d, degree)) * d) ** ell
-        skipped = None  # filled below
     checked = 0
     witness = None
-    threads = config.resolved_threads()
-    if threads > 1 and not exhaustive:
-        witness, checked = _sweep_parallel(d, ell, weights, degree, value_on, threads)
+    for tup in stream:
+        checked += 1
+        sums = {}
+        for coeff, tree, labels in prepared:
+            hit = _origin_value(tree, labels, tup)
+            if hit:
+                sums[hit[0]] = sums.get(hit[0], Fraction(0)) + coeff * hit[1]
+        bad = [k for k, q in sums.items() if q]
+        if bad:
+            comp = min(bad)
+            value = sums[comp]
+            witness = SweepWitness(slots=tup, component=comp,
+                                   value=int(value) if value.denominator == 1 else value)
+            break
+    if exhaustive or witness is not None:
+        skipped = 0
     else:
-        for tup in stream:
-            checked += 1
-            bad = value_on(tup)
-            if bad:
-                comp = min(bad)
-                witness = SweepWitness(slots=tup, component=comp,
-                                       value=int(bad[comp]) if bad[comp].denominator == 1
-                                       else bad[comp])
-                break
-    if not exhaustive and skipped is None:
-        skipped = full - checked if witness is None else 0
+        skipped = len(_monomial_items(d, degree)) ** ell - checked
     return CertifyResult(holds=witness is None, witness=witness,
-                         tuples_checked=checked,
-                         tuples_skipped_off_layer=skipped or 0)
+                         tuples_checked=checked, tuples_skipped_off_layer=skipped)
 
 
-def _sweep_parallel(d, ell, weights, degree, value_on, threads):
-    """Chunk the layer by the first slot's choice; verdicts merge in chunk
-    order so the reported witness does not depend on the thread count."""
-    def run_chunk(arg):
-        item, spend = arg
-        count = 0
-        for rest in _layer_tuples(d, ell - 1, weights[1:], degree - spend):
-            tup = (item,) + rest
-            count += 1
-            bad = value_on(tup)
-            if bad:
-                comp = min(bad)
-                return count, SweepWitness(slots=tup, component=comp,
-                                           value=int(bad[comp]) if bad[comp].denominator == 1
-                                           else bad[comp])
-        return count, None
-
-    checked = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for count, wit in pool.map(run_chunk, _slot_choices(d, weights[0], degree)):
-            checked += count
-            if wit is not None:
-                return wit, checked
-    return None, checked
+def _check_dimension(d: int):
+    if d < 1:
+        raise PreconditionError(f"dimension must be at least 1, got {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +583,7 @@ def dimension_certificate(rows: Sequence, d: int, config: RunConfig,
     meet or the modular rank has been stable for two consecutive batches;
     more columns cannot repair an unverified relation, only a thin sample.
     """
+    _check_dimension(d)
     rows = tuple(rows)
     if config.column_budget < len(rows):
         raise PreconditionError(
@@ -815,6 +778,7 @@ def block_basis(d: int, n: int, orbit_code: Optional[str] = None,
     restriction is pinned against the multi-index evaluation as a check.
     """
     config = config or RunConfig()
+    _check_dimension(d)
     if (orbit_code is None) == (mi is None):
         raise PreconditionError("pass exactly one of orbit_code / mi")
     mis = [mi] if mi is not None else [

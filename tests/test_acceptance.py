@@ -64,7 +64,7 @@ from elemdiff.jets import add, monomial_jet, scale, truncate
 from elemdiff.relations import exact_rank, in_relation_span, relation_vector
 from elemdiff.trees import Tree
 
-CFG = RunConfig(threads=1)
+CFG = RunConfig()
 
 
 @pytest.fixture(scope="module")

@@ -36,6 +36,14 @@ def test_trees_canon(capsys):
     assert len(out.splitlines()) == 2
     code, out, _ = run_cli(capsys, "trees", "canon", "--n", "5", "--format", "json")
     assert json.loads(out)["orbitCount"] == 9
+    # unlabelled rooted trees, OEIS A000081
+    for n, count in zip(range(1, 7), (1, 1, 2, 4, 9, 20)):
+        code, out, _ = run_cli(capsys, "trees", "canon", "--n", str(n), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["orbitCount"] == count
+    code, _, err = run_cli(capsys, "trees", "canon", "--n", "7")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "SizeLimitError"
 
 
 def test_mi_enum_and_project(capsys):
@@ -118,7 +126,23 @@ def test_identity_s2d(capsys):
                            "--check-dim", "2")
     payload = json.loads(out)
     assert payload["holds"] is False
-    assert payload["witness"] is not None
+    assert payload["tuplesChecked"] == 92
+    witness = payload["witness"]
+    assert [(tuple(s["exponent"]), s["component"]) for s in witness["inputs"]] == [
+        ((0, 1), 1), ((0, 1), 2), ((0, 0), 2)]
+    assert witness["outputComponent"] == 1
+    assert witness["value"] == "1"
+    code, out, _ = run_cli(capsys, "identity", "s2d", "--dim", "1",
+                           "--check-dim", "3")
+    payload = json.loads(out)
+    assert payload["holds"] is False
+    assert payload["tuplesChecked"] == 603
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["identity", "s2d", "--dim", "2", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_identity_s2d_guard(capsys):
@@ -143,6 +167,27 @@ def test_identity_certify_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "identity", "certify", "--relation", str(path),
                            "--exhaustive")
     assert json.loads(out)["holds"] is True
+
+
+def test_dim_zero_is_a_json_error(capsys):
+    code, out, err = run_cli(capsys, "dim", "w", "--dim", "0", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("relation", [
+    {"d": 0, "terms": [{"coeff": "1", "tree": [0, 1, 2]},
+                       {"coeff": "-1", "tree": [2, 0, 1]}]},
+    {"terms": 5},
+])
+def test_identity_certify_bad_file_is_a_json_error(capsys, tmp_path, relation):
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(relation))
+    code, out, err = run_cli(capsys, "identity", "certify", "--relation", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
 
 
 def test_char_table_csv_bytes(capsys):

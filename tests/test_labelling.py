@@ -23,7 +23,7 @@ from elemdiff import (
     relabel,
 )
 
-CFG = RunConfig(threads=1)
+CFG = RunConfig()
 
 
 def orbit_count_brute(n, ell):

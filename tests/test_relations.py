@@ -32,7 +32,7 @@ from elemdiff.relations import (
     relation_vector,
 )
 
-CFG = RunConfig(threads=1)
+CFG = RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +207,37 @@ def test_certify_scale_invariance():
 
 
 def test_witness_independent_of_thread_count():
+    """The sweep is serial: the witness is the first layer tuple, in
+    `_layer_tuples` order, on which the combination is nonzero, and the
+    tuple count is that tuple's 1-based position."""
+    from elemdiff import monomial_term
+    from elemdiff.relations import _layer_tuples
     t1, t2 = same_fiber_pair()
-    r1 = certify_relation([(1, t1), (-1, t2)], 2, CFG.with_options(threads=1))
-    r2 = certify_relation([(1, t1), (-1, t2)], 2, CFG.with_options(threads=3))
-    assert r1.witness == r2.witness
+    n = t1.size
+    res = certify_relation([(1, t1), (-1, t2)], 2, CFG)
+    for position, tup in enumerate(_layer_tuples(2, n, (1,) * n, n - 1), start=1):
+        sums = {}
+        for tree, sign in ((t1, 1), (t2, -1)):
+            val = monomial_term(tree, {v: tup[v - 1] for v in tree.vertices})
+            if val.coeff and not any(val.exponent):
+                sums[val.comp] = sums.get(val.comp, 0) + sign * val.coeff
+        nonzero = sorted(k for k, q in sums.items() if q)
+        if nonzero:
+            break
+    else:
+        pytest.fail("the combination vanishes on the whole layer")
+    assert res.tuples_checked == position
+    assert res.witness.slots == tup
+    assert res.witness.component == nonzero[0]
+    assert res.witness.value == sums[nonzero[0]]
+
+
+def test_dimension_below_one_is_refused():
+    t1, t2 = same_fiber_pair()
+    with pytest.raises(PreconditionError):
+        certify_relation([(1, t1), (-1, t2)], 0, CFG)
+    with pytest.raises(PreconditionError):
+        dimension_certificate(span_rows(3), 0, CFG)
 
 
 # ---------------------------------------------------------------------------
