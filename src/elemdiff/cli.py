@@ -14,8 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .config import (DEFAULT_COLUMN_BUDGET, DEFAULT_PRIME, DEFAULT_RANDOM_BOUND,
-                     DEFAULT_SEED, RunConfig)
+from .config import RunConfig
 from .differentials import (eval_multiindex, eval_tree,
                             standard_identity_tree_terms)
 from .errors import ElemdiffError, PreconditionError, SizeLimitError
@@ -37,8 +36,8 @@ def _json_artifact(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _pick_format(config: RunConfig, default: str, supported) -> str:
-    fmt = config.output_format or default
+def _pick_format(args, default: str, supported) -> str:
+    fmt = args.format or default
     if fmt not in supported:
         raise PreconditionError(f"format {fmt!r} not supported here (use {sorted(supported)})")
     return fmt
@@ -101,7 +100,7 @@ def _load_jets(path: str) -> list:
 
 def _cmd_trees_enum(args, config):
     trees = enumerate_trees(args.n)
-    fmt = _pick_format(config, "text", {"text", "json"})
+    fmt = _pick_format(args, "text", {"text", "json"})
     if fmt == "text":
         return "".join(_parents_text(t) + "\n" for t in trees)
     return _json_artifact({"n": args.n, "count": len(trees),
@@ -122,7 +121,7 @@ def _orbit_representatives(n: int) -> list:
 
 def _cmd_trees_canon(args, config):
     reps = _orbit_representatives(args.n)
-    fmt = _pick_format(config, "text", {"text", "json"})
+    fmt = _pick_format(args, "text", {"text", "json"})
     if fmt == "text":
         return "".join(_parents_text(t) + "\n" for t in reps)
     return _json_artifact({"n": args.n, "orbitCount": len(reps),
@@ -131,7 +130,7 @@ def _cmd_trees_canon(args, config):
 
 def _cmd_mi_enum(args, config):
     mis = enumerate_multi_indices(args.n)
-    fmt = _pick_format(config, "text", {"text", "json"})
+    fmt = _pick_format(args, "text", {"text", "json"})
     if fmt == "text":
         return "".join(m.text() + "\n" for m in mis)
     return _json_artifact({"n": args.n, "count": len(mis),
@@ -141,7 +140,7 @@ def _cmd_mi_enum(args, config):
 def _cmd_mi_project(args, config):
     tree = _parse_parents(args.tree)
     mi = project_arities(tree)
-    fmt = _pick_format(config, "text", {"text", "json"})
+    fmt = _pick_format(args, "text", {"text", "json"})
     if fmt == "text":
         return mi.text() + "\n"
     return _json_artifact(mi.to_json_dict())
@@ -152,8 +151,8 @@ def _cmd_eval_f(args, config):
     inputs = _load_jets(args.inputs)
     if any(j.d != args.dim for j in inputs):
         raise PreconditionError("inputs disagree with --dim")
-    result = eval_tree(tree, inputs, degree=config.degree_override)
-    _pick_format(config, "json", {"json"})
+    result = eval_tree(tree, inputs, degree=args.degree)
+    _pick_format(args, "json", {"json"})
     return _json_artifact(result.to_json_dict())
 
 
@@ -161,7 +160,7 @@ def _cmd_eval_g(args, config):
     mi = MultiIndex.parse(args.mi)
     inputs = _load_jets(args.inputs)
     result = eval_multiindex(mi, inputs)
-    _pick_format(config, "json", {"json"})
+    _pick_format(args, "json", {"json"})
     return _json_artifact(result.to_json_dict())
 
 
@@ -177,7 +176,7 @@ def _cmd_dim_w(args, config):
         cert = dimension_w(args.dim, args.n, config=config)
         head = {"kind": "all"}
     payload = {"d": args.dim, "n": args.n, **head, **cert.to_json_dict()}
-    _pick_format(config, "json", {"json"})
+    _pick_format(args, "json", {"json"})
     return _json_artifact(payload)
 
 
@@ -197,7 +196,7 @@ def _cmd_identity_s2d(args, config):
         "tuplesChecked": result.tuples_checked,
         "witness": result.witness.to_json_dict() if result.witness else None,
     }
-    _pick_format(config, "json", {"json"})
+    _pick_format(args, "json", {"json"})
     return _json_artifact(payload)
 
 
@@ -210,13 +209,13 @@ def _cmd_identity_certify(args, config):
         "tuplesChecked": result.tuples_checked,
         "witness": result.witness.to_json_dict() if result.witness else None,
     }
-    _pick_format(config, "json", {"json"})
+    _pick_format(args, "json", {"json"})
     return _json_artifact(payload)
 
 
 def _cmd_char_table(args, config):
     rows = character_table(args.n)
-    fmt = _pick_format(config, "csv", {"csv", "json"})
+    fmt = _pick_format(args, "csv", {"csv", "json"})
     labels = [cc.label for cc in conjugacy_classes(args.n)]
     if fmt == "json":
         return _json_artifact({
@@ -234,7 +233,7 @@ def _cmd_char_table(args, config):
 
 def _cmd_groups_subgroups(args, config):
     subs = subgroup_classes(args.n)
-    _pick_format(config, "json", {"json"})
+    _pick_format(args, "json", {"json"})
     return _json_artifact({
         "n": args.n,
         "classCount": len(subs),
@@ -254,41 +253,53 @@ def _cmd_groups_subgroups(args, config):
 def _cmd_groups_scan(args, config):
     reference = tree_fixed_character(5) if args.control else None
     report = constraint_scan(reference)
-    _pick_format(config, "json", {"json"})
+    _pick_format(args, "json", {"json"})
     return _json_artifact(report.to_json_dict())
 
 
 def _cmd_block_basis(args, config):
     blocks = block_basis(args.dim, args.n, orbit_code=args.mi_orbit, config=config)
-    _pick_format(config, "json", {"json"})
+    _pick_format(args, "json", {"json"})
     return _json_artifact({
         "d": args.dim,
         "n": args.n,
         "orbit": args.mi_orbit,
         "blocks": [b.to_json_dict() for b in blocks],
-        "totalDimension": sum(b.dimension for b in blocks),
+        "totalDimension": (sum(b.dimension for b in blocks)
+                           if all(b.status == "certified" for b in blocks) else None),
     })
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave like every other failure: a JSON error, exit 2."""
+
+    def error(self, message):
+        raise PreconditionError(message)
+
+
+# argparse destinations that RunConfig takes; absent flags keep its defaults
+_CONFIG_FIELDS = ("seed", "prime", "column_budget", "random_bound")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elemdiff",
         description="Exact combinatorics of elementary differentials.",
     )
-    # shared flags live on every leaf command so they can trail the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    common.add_argument("--column-budget", type=int, default=DEFAULT_COLUMN_BUDGET)
+    # flags live on the leaf commands that read them, so they trail the subcommand
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["json", "csv", "text"], default=None)
-    common.add_argument("--degree", type=int, default=None,
-                        help="override the evaluation truncation degree")
-    common.add_argument("--bound", type=int, default=DEFAULT_RANDOM_BOUND,
-                        help="coefficient bound for random jets")
     common.add_argument("--out", default=None, help="write the artifact to a file")
+    certifying = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    certifying.add_argument("--prime", type=int, help="modular prime, above 2^60")
+    certifying.add_argument("--column-budget", type=int,
+                            help="most evaluation columns one certificate may build")
+    certifying.add_argument("--bound", type=int, dest="random_bound",
+                            help="coefficient bound for random jets")
     shared = [common]
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -313,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     e_f.add_argument("--tree", required=True)
     e_f.add_argument("--inputs", required=True)
     e_f.add_argument("--dim", type=int, required=True)
+    e_f.add_argument("--degree", type=int, default=None,
+                     help="override the evaluation truncation degree")
     e_f.set_defaults(handler=_cmd_eval_f)
     e_g = ev.add_parser("g", parents=shared)
     e_g.add_argument("--mi", required=True)
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     e_g.set_defaults(handler=_cmd_eval_g)
 
     dim = sub.add_parser("dim").add_subparsers(dest="sub", required=True)
-    d_w = dim.add_parser("w", parents=shared)
+    d_w = dim.add_parser("w", parents=[common, certifying])
     d_w.add_argument("--dim", type=int, required=True)
     d_w.add_argument("--n", type=int, required=True)
     d_w.add_argument("--linear", action="store_true")
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_c.set_defaults(handler=_cmd_groups_scan)
 
     block = sub.add_parser("block").add_subparsers(dest="sub", required=True)
-    b_b = block.add_parser("basis", parents=shared)
+    b_b = block.add_parser("basis", parents=[common, certifying])
     b_b.add_argument("--dim", type=int, required=True)
     b_b.add_argument("--n", type=int, required=True)
     b_b.add_argument("--mi-orbit", required=True)
@@ -362,23 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            seed=args.seed,
-            prime=args.prime,
-            column_budget=args.column_budget,
-            degree_override=args.degree,
-            output_format=args.format,
-            random_bound=args.bound,
-        )
+        args = build_parser().parse_args(argv)
+        config = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
         artifact = args.handler(args, config)
-    except ElemdiffError as exc:
-        sys.stderr.write(_json_artifact(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ElemdiffError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(_json_artifact(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2

@@ -1,4 +1,4 @@
-"""Run configuration: seeding, the modular prime, budgets, output format."""
+"""Run configuration: seeding, the modular prime, budgets."""
 
 from __future__ import annotations
 
@@ -43,8 +43,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     prime: int = DEFAULT_PRIME
     column_budget: int = DEFAULT_COLUMN_BUDGET
-    degree_override: int | None = None
-    output_format: str | None = None  # commands pick their natural default
     random_bound: int = DEFAULT_RANDOM_BOUND
 
     def __post_init__(self):
@@ -58,8 +56,6 @@ class RunConfig:
             raise PreconditionError("column budget must be positive")
         if self.random_bound < 1:
             raise PreconditionError("random bound must be positive")
-        if self.output_format not in (None, "json", "csv", "text"):
-            raise PreconditionError(f"unknown output format {self.output_format!r}")
 
     def resolved_threads(self) -> int:
         """Always 1: every computation runs serially.  Kept for callers that

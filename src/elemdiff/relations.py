@@ -316,7 +316,9 @@ def exact_rank(matrix, method: str = "auto") -> tuple:
     """Exact rank of a small matrix; returns (rank, pivot_rows, pivot_cols).
 
     method "bareiss" runs fraction-free integer elimination, "gauss" rational
-    elimination in a different sweep order; they are each other's oracle.
+    elimination in a different sweep order; they are each other's oracle and,
+    together, the independent check on the modular route.  Every emitted
+    number comes from `dimension_certificate`, never from here.
     """
     if isinstance(matrix, EvalMatrix):
         matrix = matrix.data
@@ -757,13 +759,19 @@ def trace_on_span(rows: Sequence, sigma: Permutation, d: int,
 @dataclass(frozen=True)
 class Block:
     mi: MultiIndex
-    dimension: int
-    basis: tuple  # trees
+    status: str                 # "certified" | "inconclusive", as its certificate
+    dimension: Optional[int]    # None unless certified
+    lower: int
+    upper: int
+    basis: tuple                # trees: the certificate's pivot rows
 
     def to_json_dict(self) -> dict:
         return {
             "arity": list(self.mi.arities),
+            "status": self.status,
             "dimension": self.dimension,
+            "lower": self.lower,
+            "upper": self.upper,
             "basis": [t.parent_list() for t in self.basis],
         }
 
@@ -771,11 +779,14 @@ class Block:
 def block_basis(d: int, n: int, orbit_code: Optional[str] = None,
                 mi: Optional[MultiIndex] = None,
                 config: Optional[RunConfig] = None) -> list:
-    """Greedy bases of the per-multi-index sub-spans.
+    """Certified greedy bases of the per-multi-index sub-spans.
 
     One block per single multi-index; an orbit code groups the blocks of all
-    its relabellings for reporting.  Each basis element's one-dimensional
-    restriction is pinned against the multi-index evaluation as a check.
+    its relabellings for reporting.  Each block is one dimension certificate
+    over the trees projecting to its multi-index, and its basis is the
+    certificate's pivot rows - the greedy basis in enumeration order.  Each
+    basis element's one-dimensional restriction is pinned against the
+    multi-index evaluation as a check.
     """
     config = config or RunConfig()
     _check_dimension(d)
@@ -793,26 +804,12 @@ def block_basis(d: int, n: int, orbit_code: Optional[str] = None,
         rows = trees_by_mi.get(m, [])
         if not rows:
             raise PreconditionError(f"no tree projects to {m.text()}")  # unreachable
-        pivot_rows = _stable_greedy_rows(rows, d, config)
-        basis = [rows[i] for i in pivot_rows]
+        cert = dimension_certificate(rows, d, config)
+        basis = tuple(rows[i] for i in cert.minor_rows)
         _check_block_restriction(basis, m, config)
-        out.append(Block(mi=m, dimension=len(basis), basis=tuple(basis)))
+        out.append(Block(mi=m, status=cert.status, dimension=cert.dimension,
+                         lower=cert.lower, upper=cert.upper, basis=basis))
     return out
-
-
-def _stable_greedy_rows(rows, d, config):
-    n = rows[0].size
-    tuples = max(2, -(-3 * len(rows) // (2 * d)))
-    prev = None
-    for attempt in range(4):
-        scheme = RandomColumns(tuples=tuples, seed=config.seed, bound=config.random_bound)
-        matrix = build_matrix(rows, d, scheme, config)
-        rank, pivot_rows, _ = exact_rank(matrix.data, method="gauss")
-        if prev is not None and rank == prev[0]:
-            return pivot_rows
-        prev = (rank, pivot_rows)
-        tuples *= 2
-    return prev[1]
 
 
 def _check_block_restriction(basis, m, config):

@@ -91,6 +91,19 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def _reaches_root(pmap: dict) -> bool:
+    """True iff every vertex of a parent map walks down to the root, i.e.
+    the map has no cycle; every parent must itself be a key or ROOT."""
+    for v in pmap:
+        seen = set()
+        while pmap[v] != ROOT:
+            if v in seen:
+                return False
+            seen.add(v)
+            v = pmap[v]
+    return True
+
+
 @dataclass(frozen=True)
 class Tree:
     """Rooted tree as sorted (vertex, parent) pairs; the root's parent is 0."""
@@ -113,14 +126,8 @@ class Tree:
         for v, p in self.entries:
             if p != ROOT and p not in vset:
                 raise PreconditionError(f"parent {p} of vertex {v} is not a vertex")
-        for v in vs:
-            seen = set()
-            w = v
-            while pmap[w] != ROOT:
-                if w in seen:
-                    raise PreconditionError("parent map has a cycle")
-                seen.add(w)
-                w = pmap[w]
+        if not _reaches_root(pmap):
+            raise PreconditionError("parent map has a cycle")
 
     @staticmethod
     def from_parent_map(pmap: dict) -> Tree:
@@ -188,20 +195,7 @@ def enumerate_trees(n: int) -> list[Tree]:
         for parents in itertools.product(verts, repeat=n - 1):
             pmap = dict(zip(others, parents))
             pmap[root] = ROOT
-            # a parent assignment is a tree iff every vertex walks down to the root
-            ok = True
-            for v in others:
-                seen = set()
-                w = v
-                while pmap[w] != ROOT:
-                    if w in seen:
-                        ok = False
-                        break
-                    seen.add(w)
-                    w = pmap[w]
-                if not ok:
-                    break
-            if ok:
+            if _reaches_root(pmap):
                 out.append(Tree.from_parent_map(pmap))
     return out
 
@@ -247,18 +241,7 @@ def retarget(tree: Tree, sigma: Permutation) -> RetargetResult:
     new_root = sigma(tree.root)
     pmap = {sigma(v): p for v, p in tree.entries if p != ROOT}
     pmap[new_root] = ROOT
-    is_tree = True
-    for v in tree.vertices:
-        seen = set()
-        w = v
-        while pmap[w] != ROOT:
-            if w in seen:
-                is_tree = False
-                break
-            seen.add(w)
-            w = pmap[w]
-        if not is_tree:
-            break
+    is_tree = _reaches_root(pmap)
     return RetargetResult(
         vertices=tree.vertices,
         edges=new_edges,

@@ -34,6 +34,8 @@ def test_trees_canon(capsys):
     code, out, _ = run_cli(capsys, "trees", "canon", "--n", "3")
     assert code == 0
     assert len(out.splitlines()) == 2
+    # every command takes --seed, even one without randomness
+    assert run_cli(capsys, "trees", "canon", "--n", "3", "--seed", "1")[1] == out
     code, out, _ = run_cli(capsys, "trees", "canon", "--n", "5", "--format", "json")
     assert json.loads(out)["orbitCount"] == 9
     # unlabelled rooted trees, OEIS A000081
@@ -68,6 +70,12 @@ def test_eval_roundtrip(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["d"] == 2
+    # one derivative below the root: degree 3 leaves 2, --degree 1 leaves 0
+    assert payload["D"] == 2
+    code, out, _ = run_cli(capsys, "eval", "f", "--tree", "[0,1]",
+                           "--inputs", str(path), "--dim", "2", "--degree", "1")
+    assert code == 0
+    assert json.loads(out)["D"] == 0
     # wrong --dim is refused
     code, _, err = run_cli(capsys, "eval", "f", "--tree", "[0,1]",
                            "--inputs", str(path), "--dim", "3")
@@ -140,9 +148,35 @@ def test_identity_s2d(capsys):
 
 
 def test_threads_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "identity", "s2d", "--dim", "2", "--threads", "2")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "w", "--dim", "2", "--n", "x"),                  # bad int
+    ("trees", "canon", "--n", "3", "--no-such-flag"),        # unknown flag
+    ("trees", "canon", "--n", "3", "--prime", "5"),          # flag the command does not read
+    ("trees", "canon", "--n", "3", "--degree", "99"),
+    ("identity", "s2d", "--dim", "1", "--prime", str((1 << 61) - 1)),
+    ("identity", "s2d", "--dim", "1", "--bound", "100", "--column-budget", "1"),
+    ("mi", "enum", "--n", "3", "--format", "yaml"),          # bad choice
+    ("trees", "canon"),                                      # missing required flag
+    ("block",),                                              # missing subcommand
+])
+def test_argv_errors_are_json_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err)["error"]) == {"type", "message"}
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["identity", "s2d", "--dim", "2", "--threads", "2"])
-    assert exc.value.code == 2
+        main(["dim", "w", "--help"])
+    assert exc.value.code == 0
+    assert "--column-budget" in capsys.readouterr().out
 
 
 def test_identity_s2d_guard(capsys):
@@ -226,7 +260,32 @@ def test_block_basis(capsys):
                            "--mi-orbit", "1,1,0")
     payload = json.loads(out)
     assert payload["totalDimension"] == len(payload["blocks"])
-    assert all(b["dimension"] == 1 for b in payload["blocks"])
+    for b in payload["blocks"]:
+        assert b["status"] == "certified"
+        assert b["dimension"] == b["lower"] == b["upper"] == len(b["basis"]) == 1
+
+
+def test_block_basis_inconclusive_block_nulls_the_total(capsys, monkeypatch):
+    import dataclasses
+    from elemdiff import relations
+    real = relations.dimension_certificate
+
+    def inconclusive(rows, d, config):
+        cert = real(rows, d, config)
+        return dataclasses.replace(cert, status="inconclusive", dimension=None,
+                                   upper=cert.lower + 1)
+
+    monkeypatch.setattr(relations, "dimension_certificate", inconclusive)
+    code, out, _ = run_cli(capsys, "block", "basis", "--dim", "1", "--n", "3",
+                           "--mi-orbit", "1,1,0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["totalDimension"] is None
+    for b in payload["blocks"]:
+        assert b["status"] == "inconclusive"
+        assert b["dimension"] is None
+        assert (b["lower"], b["upper"]) == (1, 2)
+        assert len(b["basis"]) == 1
 
 
 def test_artifacts_are_byte_identical(capsys):

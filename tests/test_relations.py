@@ -19,13 +19,13 @@ from elemdiff import (
     dimension_w,
     eliminate_mod,
     enumerate_multi_indices,
-    exact_rank,
     nullspace_relations,
     rational_reconstruct,
     span_rows,
     trace_on_span,
 )
 from elemdiff.relations import (
+    exact_rank,
     in_relation_span,
     minor_is_nonsingular_mod,
     reduce_against,
@@ -365,12 +365,13 @@ def test_single_block_dimensions_d1():
         assert len(blocks[0].basis) == 1
 
 
-def test_orbit_blocks_sum_to_full_dimension_n3():
+@pytest.mark.parametrize("d, n", [(2, 3), (1, 4), (2, 4), (3, 4)],
+                         ids=["d2-n3", "d1-n4", "d2-n4", "d3-n4"])
+def test_orbit_blocks_sum_to_full_dimension(d, n):
     total = 0
-    seen_codes = set()
-    for mi in enumerate_multi_indices(3):
-        seen_codes.add(mi.orbit_code())
-    for code in sorted(seen_codes):
-        for block in block_basis(2, 3, orbit_code=code, config=CFG):
+    for code in sorted({mi.orbit_code() for mi in enumerate_multi_indices(n)}):
+        for block in block_basis(d, n, orbit_code=code, config=CFG):
+            assert block.status == "certified"
+            assert block.lower == block.upper == block.dimension == len(block.basis)
             total += block.dimension
-    assert total == 9
+    assert total == dimension_w(d, n, config=CFG).dimension
