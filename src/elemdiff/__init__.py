@@ -26,7 +26,7 @@ from .relations import (Block, CertifiedRelation, CertifyResult,
                         DimensionCertificate, EvalMatrix,
                         ExhaustiveMonomials, RandomColumns, block_basis,
                         build_matrix, certify_relation, dimension_certificate,
-                        dimension_lw, dimension_w, eliminate_mod,
+                        dimension_w, eliminate_mod,
                         nullspace_relations, rational_reconstruct, span_rows,
                         trace_on_span)
 from .groups import (CharacterRow, ConjugacyClass, ScanReport, SubgroupClass,

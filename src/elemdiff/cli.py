@@ -21,12 +21,10 @@ from .errors import ElemdiffError, PreconditionError, SizeLimitError
 from .groups import (character_table, conjugacy_classes, constraint_scan,
                      subgroup_classes, tree_fixed_character)
 from .jets import Jet
-from .labelling import (MAX_CANON_VERTICES, canonicalize_labelled,
-                        dimension_labelled)
+from .labelling import dimension_labelled, enumerate_labelled
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
-from .relations import (block_basis, certify_relation, dimension_lw,
-                        dimension_w)
-from .trees import Tree, canonical_code, enumerate_trees
+from .relations import block_basis, certify_relation, dimension_w
+from .trees import Tree, enumerate_trees
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +106,8 @@ def _cmd_trees_enum(args, config):
 
 
 def _orbit_representatives(n: int) -> list:
-    """Lex-min member of every relabelling orbit: one tree per shape,
-    canonicalised as a one-colour labelled tree."""
-    if n > MAX_CANON_VERTICES:
-        raise SizeLimitError(f"trees canon needs n <= {MAX_CANON_VERTICES}")
-    shapes = {}
-    for t in enumerate_trees(n):
-        shapes.setdefault(canonical_code(t), t)
-    reps = [canonicalize_labelled(t, (1,) * n).tree for t in shapes.values()]
-    return sorted(reps, key=lambda t: t.entries)
+    """Lex-min member of every relabelling orbit: the one-colour labelled orbits."""
+    return [obj.tree for obj in enumerate_labelled(n, 1, (n,))]
 
 
 def _cmd_trees_canon(args, config):
@@ -170,7 +161,7 @@ def _cmd_dim_w(args, config):
         cert = dimension_labelled(args.dim, args.n, ks, config)
         head = {"kind": "labelled", "labels": list(ks)}
     elif args.linear:
-        cert = dimension_lw(args.dim, args.n, config)
+        cert = dimension_w(args.dim, args.n, linear=True, config=config)
         head = {"kind": "linear"}
     else:
         cert = dimension_w(args.dim, args.n, config=config)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 
@@ -61,6 +61,3 @@ class RunConfig:
         """Always 1: every computation runs serially.  Kept for callers that
         report the thread count of their environment."""
         return 1
-
-    def with_options(self, **kw) -> RunConfig:
-        return replace(self, **kw)

@@ -7,6 +7,7 @@ is exact; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,17 +18,24 @@ def monomials_up_to(d: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples with |alpha| <= degree, graded lexicographic order."""
     out = []
     for total in range(degree + 1):
-        out.extend(sorted(_compositions(total, d)))
+        out.extend(_compositions(total, d))
     return out
 
 
-def _compositions(total, slots):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
+def _compositions(total, slots) -> list[tuple[int, ...]]:
+    """Tuples of `slots` nonnegative integers summing to `total`, in
+    lexicographic order.  Each tuple counts one multiset of `total` slot
+    indices; multisets in lexicographic order give the tuples in reverse."""
+    if slots == 1:  # the scalar case, by far the most frequent
+        return [(total,)]
+    out = []
+    for units in itertools.combinations_with_replacement(range(slots), total):
+        alpha = [0] * slots
+        for j in units:
+            alpha[j] += 1
+        out.append(tuple(alpha))
+    out.reverse()
+    return out
 
 
 class Jet:

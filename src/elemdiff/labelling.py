@@ -16,7 +16,8 @@ from .config import RunConfig
 from .errors import MismatchError, PreconditionError, SizeLimitError
 from .relations import (DimensionCertificate, _dimension_guard,
                         dimension_certificate)
-from .trees import Tree, all_permutations, relabel, enumerate_trees
+from .trees import (Tree, all_permutations, canonical_code, enumerate_trees,
+                    relabel)
 
 MAX_CANON_VERTICES = 6
 
@@ -91,7 +92,13 @@ def identify(phi, obj: LabelledObject) -> LabelledObject:
 
 def enumerate_labelled(n: int, ell: int,
                        multiplicities: Optional[tuple] = None) -> list:
-    """All orbits of (tree, labels in [ell]^n), optionally of one colour profile."""
+    """All orbits of (tree, labels in [ell]^n), optionally of one colour profile.
+
+    Pairs are grouped by their coloured `canonical_code`, and only the first
+    pair of each orbit pays the S_n search for its lex-min representative.
+    """
+    if n < 1:
+        raise PreconditionError("need n >= 1")
     if ell < 1:
         raise PreconditionError("need at least one colour")
     if multiplicities is not None:
@@ -100,15 +107,13 @@ def enumerate_labelled(n: int, ell: int,
             raise PreconditionError("profile must list one count per colour")
         if sum(multiplicities) != n:
             raise MismatchError("colour counts must sum to the vertex count")
-    seen = set()
-    out = []
+    if n > MAX_CANON_VERTICES:
+        raise SizeLimitError(f"orbit minimum is explicit, n <= {MAX_CANON_VERTICES}")
+    orbits = {}
     for tree in enumerate_trees(n):
         for labels in _label_vectors(n, ell, multiplicities):
-            obj = canonicalize_labelled(tree, labels)
-            key = (obj.tree, obj.labels)
-            if key not in seen:
-                seen.add(key)
-                out.append(obj)
+            orbits.setdefault(canonical_code(tree, labels), (tree, labels))
+    out = [canonicalize_labelled(tree, labels) for tree, labels in orbits.values()]
     out.sort(key=lambda o: (o.tree.entries, o.labels))
     return out
 

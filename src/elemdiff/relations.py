@@ -29,8 +29,8 @@ from .config import RunConfig
 from .differentials import monomial_term, tree_value_at_zero
 from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
-from .jets import (monomial_basis_size, monomial_jet, monomials_up_to,
-                   random_jet_tuple)
+from .jets import (_compositions, monomial_basis_size, monomial_jet,
+                   monomials_up_to, random_jet_tuple)
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .trees import Tree, Permutation, enumerate_trees, relabel
 
@@ -119,12 +119,11 @@ class EvalMatrix:
         return value == self.data[r][c]
 
 
-def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig,
-                 degree: Optional[int] = None) -> EvalMatrix:
+def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig) -> EvalMatrix:
     """Evaluate every row on every column tuple, reading values at the origin."""
     rows = tuple(rows)
     n, ell, _weights = _rows_shape(rows)
-    degree = n - 1 if degree is None else degree
+    degree = n - 1
     if isinstance(scheme, RandomColumns):
         if scheme.tuples * d > config.column_budget:
             raise SizeLimitError(
@@ -133,27 +132,20 @@ def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig,
         tuples = tuple(
             random_jet_tuple(rng, ell, d, degree, scheme.bound) for _ in range(scheme.tuples)
         )
-        data = _entries_random(rows, tuples, n, ell, d, degree, scheme.bound)
+        bound = scheme.bound
     elif isinstance(scheme, ExhaustiveMonomials):
         count = monomial_basis_size(d, degree) ** ell
         if count * d > config.column_budget:
             raise SizeLimitError(
                 f"exhaustive scheme wants {count * d} columns, budget {config.column_budget}")
-        tuples = tuple(itertools.product(_monomial_items(d, degree), repeat=ell))
-        data = []
-        for row in rows:
-            tree = _row_tree(row)
-            labels = _row_labels(row, n)
-            out = []
-            for tup in tuples:
-                hit = _origin_value(tree, labels, tup)
-                out.extend(hit[1] if hit and hit[0] == k else 0 for k in range(1, d + 1))
-            data.append(out)
         tuples = tuple(
-            tuple(monomial_jet(d, degree, alpha, k) for alpha, k in tup) for tup in tuples
+            tuple(monomial_jet(d, degree, alpha, k) for alpha, k in tup)
+            for tup in itertools.product(_monomial_items(d, degree), repeat=ell)
         )
+        bound = 1
     else:
         raise PreconditionError(f"unknown column scheme {scheme!r}")
+    data = _column_entries(rows, tuples, n, ell, d, degree, bound)
     col_index = tuple((t, k) for t in range(len(tuples)) for k in range(1, d + 1))
     return EvalMatrix(rows=rows, d=d, degree=degree, input_count=ell,
                       col_index=col_index, data=data, tuples=tuples,
@@ -174,34 +166,19 @@ def _origin_value(tree: Tree, labels, tup):
     return None
 
 
-def _entries_random(rows, tuples, n, ell, d, degree, bound):
-    worst = (d ** n) * ((math.factorial(n - 1) * bound) ** n)
-    if worst < (1 << 62):
-        return _entries_random_batched(rows, tuples, n, ell, d, degree, bound)
-    return _entries_random_exact(rows, tuples, n, ell, d)
+def _column_entries(rows, tuples, n, ell, d, degree, bound):
+    """Value at the origin of every row on every tuple of integer jets whose
+    coefficients are at most `bound` in size, one column per output component.
 
-
-def _entries_random_exact(rows, tuples, n, ell, d):
-    data = []
-    for row in rows:
-        tree = _row_tree(row)
-        labels = _row_labels(row, n)
-        out = []
-        for tup in tuples:
-            jets = {v: tup[labels[v - 1] - 1] for v in tree.vertices}
-            values = tree_value_at_zero(tree, jets)
-            for q in values:
-                if q.denominator != 1:
-                    raise PreconditionError("integer jets produced a non-integer value")
-                out.append(q.numerator)
-        data.append(out)
-    return data
-
-
-def _entries_random_batched(rows, tuples, n, ell, d, degree, bound):
-    """numpy int64 path; the caller proved the worst-case magnitude fits."""
+    Each row sums, over the d^n component assignments of its vertices, the
+    product of factorial-weighted jet coefficients.  A vertex factor is at
+    most (n-1)! * bound, so numpy int64 is exact below the worst case 2^62;
+    above it the arrays hold Python ints.
+    """
     import numpy as np
 
+    worst = (d ** n) * ((math.factorial(n - 1) * bound) ** n)
+    dtype = np.int64 if worst < (1 << 62) else object
     nt = len(tuples)
     gammas = monomials_up_to(d, degree)
     weight = {g: math.prod(math.factorial(x) for x in g) for g in gammas}
@@ -212,7 +189,7 @@ def _entries_random_batched(rows, tuples, n, ell, d, degree, bound):
                 w = weight[g]
                 table[(i, j, g)] = np.fromiter(
                     (int(tuples[t][i - 1].coeff(g, j)) * w for t in range(nt)),
-                    dtype=np.int64, count=nt)
+                    dtype=dtype, count=nt)
     assignments = list(itertools.product(range(1, d + 1), repeat=n))
     data = []
     for row in rows:
@@ -220,7 +197,7 @@ def _entries_random_batched(rows, tuples, n, ell, d, degree, bound):
         labels = _row_labels(row, n)
         verts = list(tree.vertices)
         pos = {v: i for i, v in enumerate(verts)}
-        acc = [np.zeros(nt, dtype=np.int64) for _ in range(d)]
+        acc = [np.zeros(nt, dtype=dtype) for _ in range(d)]
         kids = {v: tree.children(v) for v in verts}
         root_i = pos[tree.root]
         for js in assignments:
@@ -440,7 +417,7 @@ def _slot_choices(d: int, w: int, budget: int):
         return [(((0,) * d, 1), 0)]
     out = []
     for t in range(budget // w + 1):
-        for alpha in sorted(_exponents_of_degree(d, t)):
+        for alpha in _compositions(t, d):
             for k in range(1, d + 1):
                 out.append(((alpha, k), w * t))
     return out
@@ -460,15 +437,6 @@ def _layer_tuples(d: int, slots: int, weights, total: int):
                 yield (item,) + rest
 
     yield from rec(0, total)
-
-
-def _exponents_of_degree(d, total):
-    if d == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponents_of_degree(d - 1, total - head):
-            yield (head,) + rest
 
 
 def certify_relation(terms, d: int, config: RunConfig,
@@ -577,8 +545,14 @@ class DimensionCertificate:
         }
 
 
-def dimension_certificate(rows: Sequence, d: int, config: RunConfig,
-                          max_batches: int = 4) -> DimensionCertificate:
+# column batches one certificate may build before it reports inconclusive
+MAX_BATCHES = 4
+# d ** n component assignments the column kernel sums per row; 8 ** 4
+MAX_COMPONENT_ASSIGNMENTS = 4096
+
+
+def dimension_certificate(rows: Sequence, d: int,
+                          config: RunConfig) -> DimensionCertificate:
     """Two-sided dimension of the span of the rows' evaluation maps.
 
     Columns grow in batches (1.5x the row count to start) until the bounds
@@ -587,6 +561,11 @@ def dimension_certificate(rows: Sequence, d: int, config: RunConfig,
     """
     _check_dimension(d)
     rows = tuple(rows)
+    n = _rows_shape(rows)[0]
+    if d ** n > MAX_COMPONENT_ASSIGNMENTS:
+        raise SizeLimitError(
+            f"d ** n = {d ** n} component assignments per row exceed "
+            f"{MAX_COMPONENT_ASSIGNMENTS}")
     if config.column_budget < len(rows):
         raise PreconditionError(
             "certified answers need a column budget of at least the row count")
@@ -595,7 +574,7 @@ def dimension_certificate(rows: Sequence, d: int, config: RunConfig,
     total_tuples = 0
     last = None
     prev_rank = None
-    for _ in range(max_batches):
+    for _ in range(MAX_BATCHES):
         want = min(total_tuples + batch_tuples, config.column_budget // d)
         if want <= total_tuples:
             break
@@ -674,11 +653,6 @@ def dimension_w(d: int, n: int, linear: bool = False,
     config = config or RunConfig()
     _dimension_guard(d, n)
     return dimension_certificate(span_rows(n, linear_only=linear), d, config)
-
-
-def dimension_lw(d: int, n: int,
-                 config: Optional[RunConfig] = None) -> DimensionCertificate:
-    return dimension_w(d, n, linear=True, config=config)
 
 
 def nullspace_relations(rows: Sequence, d: int, config: RunConfig):

@@ -312,10 +312,16 @@ def graft_sum(scion: Tree, stock: Tree) -> list[Tree]:
     return out
 
 
-def canonical_code(tree: Tree) -> str:
-    """Label-independent shape code: child codes sorted and parenthesised."""
+def canonical_code(tree: Tree, colours=None) -> str:
+    """Label-independent shape code: child codes sorted and parenthesised.
+
+    With `colours` (colours[v-1] = colour of vertex v) each vertex's code
+    opens with its colour, so two coloured trees share a code iff a
+    relabelling carries one onto the other, colours included.
+    """
     def code(v):
-        return "(" + "".join(sorted(code(w) for w in tree.children(v))) + ")"
+        head = "(" if colours is None else f"({colours[v - 1]}:"
+        return head + "".join(sorted(code(w) for w in tree.children(v))) + ")"
     return code(tree.root)
 
 

@@ -117,11 +117,13 @@ def test_dim_w_linear_and_labelled(capsys):
 
 
 def test_dim_w_guard_error(capsys):
-    code, out, err = run_cli(capsys, "dim", "w", "--dim", "3", "--n", "5")
-    assert code == 2
-    assert out == ""
-    obj = json.loads(err)
-    assert obj["error"]["type"] == "SizeLimitError"
+    # n = 5 needs d <= 2; 9 ** 4 component assignments exceed 8 ** 4
+    for dim, n in (("3", "5"), ("9", "4")):
+        code, out, err = run_cli(capsys, "dim", "w", "--dim", dim, "--n", n)
+        assert code == 2
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"]["type"] == "SizeLimitError"
 
 
 def test_identity_s2d(capsys):

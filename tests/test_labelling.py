@@ -89,6 +89,35 @@ def test_enumeration_is_partitioned_by_profile():
     assert pieces == whole
 
 
+def _compositions_of(n):
+    # every colour profile of n vertices with no empty colour
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions_of(n - first):
+            yield (first,) + rest
+
+
+def test_enumeration_matches_brute_force_lex_min():
+    # oracle: the S_n search on every (tree, labels) pair, deduplicated
+    for n in range(1, 5):
+        for profile in _compositions_of(n):
+            brute = set()
+            for tree in enumerate_trees(n):
+                for labels in set(itertools.permutations(
+                        [c for c, k in enumerate(profile, start=1) for _ in range(k)])):
+                    brute.add(canonicalize_labelled(tree, labels))
+            got = enumerate_labelled(n, len(profile), profile)
+            assert len(set(got)) == len(got)
+            assert set(got) == brute
+            assert got == sorted(got, key=lambda o: (o.tree.entries, o.labels))
+    assert len(enumerate_labelled(5, 2, (3, 2))) == 63
+    assert len(enumerate_labelled(5, 2, (4, 1))) == 35
+    with pytest.raises(SizeLimitError):
+        enumerate_labelled(7, 1, (7,))
+
+
 def test_enumeration_validation():
     with pytest.raises(MismatchError):
         enumerate_labelled(3, 2, multiplicities=(1, 1))

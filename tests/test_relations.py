@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from elemdiff import (
     dimension_w,
     eliminate_mod,
     enumerate_multi_indices,
+    monomial_term,
+    monomials_up_to,
     nullspace_relations,
     rational_reconstruct,
     span_rows,
@@ -62,21 +65,36 @@ def test_build_matrix_reproducible():
 
 
 def test_batched_and_exact_entry_paths_agree():
-    from elemdiff.relations import _entries_random_exact, _rows_shape
-    import random as _random
-    rows = tuple(span_rows(3))
-    scheme = RandomColumns(tuples=5, seed=31)
-    m = build_matrix(rows, 2, scheme, CFG)
-    n, ell, _ = _rows_shape(rows)
-    exact = _entries_random_exact(rows, m.tuples, n, ell, 2)
-    assert exact == m.data
+    # every kernel entry against the independent tree_value_at_zero oracle:
+    # small jets take the int64 arrays, bound 10**6 forces exact Python ints
+    small = build_matrix(span_rows(3), 2, RandomColumns(tuples=5, seed=31), CFG)
+    large = build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=31, bound=10**6), CFG)
+    assert max(abs(x) for row in large.data for x in row) >= 2**63
+    for m in (small, large):
+        for r in range(len(m.rows)):
+            for c in range(m.ncols):
+                assert m.check_entry(r, c)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (1, 4)])
+def test_exhaustive_entries_are_monomial_terms(d, n):
+    rows = span_rows(n)
+    m = build_matrix(rows, d, ExhaustiveMonomials(), CFG)
+    items = [(alpha, k) for alpha in monomials_up_to(d, n - 1) for k in range(1, d + 1)]
+    tuples = list(itertools.product(items, repeat=n))
+    assert m.ncols == len(tuples) * d
+    for r, tree in enumerate(rows):
+        for t, tup in enumerate(tuples):
+            val = monomial_term(tree, {v: tup[v - 1] for v in tree.vertices})
+            at_origin = val.coeff if val.coeff and not any(val.exponent) else 0
+            for k in range(1, d + 1):
+                assert m.data[r][t * d + k - 1] == (at_origin if val.comp == k else 0)
 
 
 def test_exhaustive_scheme_matches_random_rank():
     rows = span_rows(3)
-    cfg = CFG.with_options(column_budget=20000)
-    me = build_matrix(rows, 1, ExhaustiveMonomials(), cfg)
-    mr = build_matrix(rows, 1, RandomColumns(tuples=30, seed=5), cfg)
+    me = build_matrix(rows, 1, ExhaustiveMonomials(), CFG)
+    mr = build_matrix(rows, 1, RandomColumns(tuples=30, seed=5), CFG)
     assert exact_rank(me)[0] == exact_rank(mr)[0] == 6
 
 

@@ -150,6 +150,19 @@ def test_canonical_code_separates_orbits():
     for t1, t2 in itertools.combinations(trees[:20], 2):
         same_orbit = any(relabel(t1, s) == t2 for s in perms)
         assert same_orbit == (canonical_code(t1) == canonical_code(t2))
+    # coloured: the relabelling must carry colours along as well
+    def transported(colours, s):
+        out = [0] * len(colours)
+        for v, c in enumerate(colours, start=1):
+            out[s(v) - 1] = c
+        return tuple(out)
+
+    coloured = [(t, c) for t in enumerate_trees(3)
+                for c in itertools.product((1, 2, 12), repeat=3)]
+    orbit = {x: {(relabel(x[0], s), transported(x[1], s)) for s in all_permutations(3)}
+             for x in coloured}
+    for x, y in itertools.combinations(coloured, 2):
+        assert (y in orbit[x]) == (canonical_code(*x) == canonical_code(*y))
 
 
 # ---------------------------------------------------------------------------
