@@ -26,8 +26,6 @@ def _compositions(total, slots) -> list[tuple[int, ...]]:
     """Tuples of `slots` nonnegative integers summing to `total`, in
     lexicographic order.  Each tuple counts one multiset of `total` slot
     indices; multisets in lexicographic order give the tuples in reverse."""
-    if slots == 1:  # the scalar case, by far the most frequent
-        return [(total,)]
     out = []
     for units in itertools.combinations_with_replacement(range(slots), total):
         alpha = [0] * slots

@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import PreconditionError, SizeLimitError
+from .jets import _compositions
 from .trees import Permutation, Tree
 
 MAX_ENUM_N = 12
@@ -74,17 +75,7 @@ def enumerate_multi_indices(n: int) -> list[MultiIndex]:
         raise PreconditionError("need n >= 1")
     if n > MAX_ENUM_N:
         raise SizeLimitError(f"n={n} exceeds the enumeration guard ({MAX_ENUM_N})")
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(MultiIndex(tuple(prefix + [remaining])))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], n - 1, n)
-    return out
+    return [MultiIndex(a) for a in _compositions(n - 1, n)]
 
 
 def relabel_multi_index(mi: MultiIndex, sigma: Permutation) -> MultiIndex:

@@ -187,9 +187,9 @@ def _column_entries(rows, tuples, n, ell, d, degree, bound):
         for j in range(1, d + 1):
             for g in gammas:
                 w = weight[g]
-                table[(i, j, g)] = np.fromiter(
-                    (int(tuples[t][i - 1].coeff(g, j)) * w for t in range(nt)),
-                    dtype=dtype, count=nt)
+                table[(i, j, g)] = np.array(
+                    [int(tuples[t][i - 1].coeff(g, j)) * w for t in range(nt)],
+                    dtype=dtype)
     assignments = list(itertools.product(range(1, d + 1), repeat=n))
     data = []
     for row in rows:
