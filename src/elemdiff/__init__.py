@@ -23,10 +23,9 @@ from .differentials import (corolla_witness_family, eval_multiindex,
                             standard_identity_tree_terms, tree_polynomial,
                             tree_value_at_zero)
 from .relations import (Block, CertifiedRelation, CertifyResult,
-                        DimensionCertificate, EvalMatrix,
-                        ExhaustiveMonomials, RandomColumns, block_basis,
-                        build_matrix, certify_relation, dimension_certificate,
-                        dimension_w, eliminate_mod,
+                        DimensionCertificate, EvalMatrix, RandomColumns,
+                        block_basis, build_matrix, certify_relation,
+                        dimension_certificate, dimension_w, eliminate_mod,
                         nullspace_relations, rational_reconstruct, span_rows,
                         trace_on_span)
 from .groups import (CharacterRow, ConjugacyClass, ScanReport, SubgroupClass,

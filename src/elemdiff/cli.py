@@ -79,6 +79,9 @@ def _load_relation(path: str):
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"bad coefficient {item['coeff']!r}")
         tree = Tree.from_parents(tree)
+        if labels is not None and (len(labels) != tree.size
+                                   or set(labels) != set(range(1, max(labels) + 1))):
+            raise PreconditionError("labels must colour each vertex and use colours 1..max")
         terms.append((coeff, tree if labels is None else (tree, tuple(labels))))
     if len({isinstance(row, tuple) for _, row in terms}) > 1:
         raise PreconditionError("either every term carries labels or none does")
@@ -193,7 +196,7 @@ def _cmd_identity_s2d(args, config):
 
 def _cmd_identity_certify(args, config):
     d, terms = _load_relation(args.relation)
-    result = certify_relation(terms, d, config, exhaustive=args.exhaustive)
+    result = certify_relation(terms, d, config)
     payload = {
         "d": d,
         "holds": result.holds,
@@ -338,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     i_s.set_defaults(handler=_cmd_identity_s2d)
     i_c = ident.add_parser("certify", parents=shared)
     i_c.add_argument("--relation", required=True)
-    i_c.add_argument("--exhaustive", action="store_true")
     i_c.set_defaults(handler=_cmd_identity_certify)
 
     char = sub.add_parser("char").add_subparsers(dest="sub", required=True)

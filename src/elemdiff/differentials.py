@@ -205,13 +205,6 @@ def monomial_term(tree: Tree, slots: Mapping) -> MonomialValue:
     return MonomialValue(coeff, tuple(exponent), slots[tree.root][1])
 
 
-def monomial_slots(tree: Tree, monomial_inputs) -> dict:
-    """Adapt a sequence of (alpha, k) pairs indexed by vertex label."""
-    if isinstance(monomial_inputs, Mapping):
-        return dict(monomial_inputs)
-    return {v: monomial_inputs[v - 1] for v in tree.vertices}
-
-
 def tree_value_at_zero(tree: Tree, inputs) -> tuple[Fraction, ...]:
     """Value at the origin on general jets, by summing component assignments.
 

@@ -6,10 +6,10 @@ Soundness layout:
     minor is nonsingular over the rationals, so modular rank is an exact
     lower bound once the minor is re-checked;
   * candidate row relations are lifted from the modular nullspace by
-    rational reconstruction and then verified exhaustively on monomial
-    inputs, which is complete because an arity-n evaluation applies exactly
-    n-1 derivatives: on monomial inputs the value at the origin vanishes
-    identically off the total-degree-(n-1) layer, term by term;
+    rational reconstruction and verified exactly: a row's value at the
+    origin is a polynomial in its inputs' jet coefficients, one monomial per
+    component assignment of its vertices, and a relation holds iff its
+    sparse vector of monomial coefficients vanishes;
   * upper bound = rows - verified independent relations.  The two bounds
     either meet ("certified") or the result is reported inconclusive; a
     wrong number is never emitted.
@@ -26,11 +26,10 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .config import RunConfig
-from .differentials import monomial_term, tree_value_at_zero
+from .differentials import tree_value_at_zero
 from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
-from .jets import (_compositions, monomial_basis_size, monomial_jet,
-                   monomials_up_to, random_jet_tuple)
+from .jets import monomial_basis_size, monomials_up_to, random_jet_tuple
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .trees import Tree, Permutation, enumerate_trees, relabel
 
@@ -87,12 +86,6 @@ class RandomColumns:
                 "seed": self.seed, "bound": self.bound}
 
 
-@dataclass(frozen=True)
-class ExhaustiveMonomials:
-    def describe(self) -> dict:
-        return {"scheme": "exhaustiveMonomials"}
-
-
 @dataclass
 class EvalMatrix:
     rows: tuple
@@ -124,56 +117,48 @@ def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig) -> EvalMatri
     rows = tuple(rows)
     n, ell, _weights = _rows_shape(rows)
     degree = n - 1
-    if isinstance(scheme, RandomColumns):
-        if scheme.tuples * d > config.column_budget:
-            raise SizeLimitError(
-                f"{scheme.tuples * d} columns exceed the budget {config.column_budget}")
-        rng = random.Random(scheme.seed)
-        tuples = tuple(
-            random_jet_tuple(rng, ell, d, degree, scheme.bound) for _ in range(scheme.tuples)
-        )
-        bound = scheme.bound
-    elif isinstance(scheme, ExhaustiveMonomials):
-        count = monomial_basis_size(d, degree) ** ell
-        if count * d > config.column_budget:
-            raise SizeLimitError(
-                f"exhaustive scheme wants {count * d} columns, budget {config.column_budget}")
-        tuples = tuple(
-            tuple(monomial_jet(d, degree, alpha, k) for alpha, k in tup)
-            for tup in itertools.product(_monomial_items(d, degree), repeat=ell)
-        )
-        bound = 1
-    else:
-        raise PreconditionError(f"unknown column scheme {scheme!r}")
-    data = _column_entries(rows, tuples, n, ell, d, degree, bound)
+    if scheme.tuples * d > config.column_budget:
+        raise SizeLimitError(
+            f"{scheme.tuples * d} columns exceed the budget {config.column_budget}")
+    rng = random.Random(scheme.seed)
+    tuples = tuple(
+        random_jet_tuple(rng, ell, d, degree, scheme.bound) for _ in range(scheme.tuples)
+    )
+    data = _column_entries(rows, tuples, n, ell, d, degree, scheme.bound)
     col_index = tuple((t, k) for t in range(len(tuples)) for k in range(1, d + 1))
     return EvalMatrix(rows=rows, d=d, degree=degree, input_count=ell,
                       col_index=col_index, data=data, tuples=tuples,
                       provenance=scheme.describe())
 
 
-def _monomial_items(d: int, degree: int) -> list:
-    """Every monomial input (alpha, component) of truncation degree `degree`."""
-    return [(alpha, k) for alpha in monomials_up_to(d, degree) for k in range(1, d + 1)]
-
-
-def _origin_value(tree: Tree, labels, tup):
-    """Value at the origin of one row on one monomial tuple, as
-    (component, coeff), or None when it vanishes there."""
-    val = monomial_term(tree, {v: tup[labels[v - 1] - 1] for v in tree.vertices})
-    if val.coeff and not any(val.exponent):
-        return val.comp, val.coeff
-    return None
+def _row_support(tree: Tree, labels, d: int):
+    """The row's d^n component assignments js, as the root's component and
+    one (label, js_v, gamma_v) factor per vertex, gamma_v counting v's
+    children per component.  On jets f_1, f_2, ... the row's value at the
+    origin sums prod_v gamma_v! [x^gamma_v] f_label(v)_(js_v) over them."""
+    verts = list(tree.vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    kids = [[pos[c] for c in tree.children(v)] for v in verts]
+    slots = [labels[v - 1] for v in verts]
+    root = pos[tree.root]
+    for js in itertools.product(range(1, d + 1), repeat=len(verts)):
+        factors = []
+        for i, j in enumerate(js):
+            gamma = [0] * d
+            for c in kids[i]:
+                gamma[js[c] - 1] += 1
+            factors.append((slots[i], j, tuple(gamma)))
+        yield js[root], factors
 
 
 def _column_entries(rows, tuples, n, ell, d, degree, bound):
     """Value at the origin of every row on every tuple of integer jets whose
     coefficients are at most `bound` in size, one column per output component.
 
-    Each row sums, over the d^n component assignments of its vertices, the
-    product of factorial-weighted jet coefficients.  A vertex factor is at
-    most (n-1)! * bound, so numpy int64 is exact below the worst case 2^62;
-    above it the arrays hold Python ints.
+    Each row sums, over its `_row_support`, the product of factorial-weighted
+    jet coefficients.  A vertex factor is at most (n-1)! * bound, so numpy
+    int64 is exact below the worst case 2^62; above it the arrays hold
+    Python ints.
     """
     import numpy as np
 
@@ -190,25 +175,15 @@ def _column_entries(rows, tuples, n, ell, d, degree, bound):
                 table[(i, j, g)] = np.array(
                     [int(tuples[t][i - 1].coeff(g, j)) * w for t in range(nt)],
                     dtype=dtype)
-    assignments = list(itertools.product(range(1, d + 1), repeat=n))
     data = []
     for row in rows:
-        tree = _row_tree(row)
-        labels = _row_labels(row, n)
-        verts = list(tree.vertices)
-        pos = {v: i for i, v in enumerate(verts)}
         acc = [np.zeros(nt, dtype=dtype) for _ in range(d)]
-        kids = {v: tree.children(v) for v in verts}
-        root_i = pos[tree.root]
-        for js in assignments:
+        for root, factors in _row_support(_row_tree(row), _row_labels(row, n), d):
             prod = None
-            for v in verts:
-                gamma = [0] * d
-                for c in kids[v]:
-                    gamma[js[pos[c]] - 1] += 1
-                vec = table[(labels[v - 1], js[pos[v]], tuple(gamma))]
+            for factor in factors:
+                vec = table[factor]
                 prod = vec if prod is None else prod * vec
-            acc[js[root_i] - 1] += prod
+            acc[root - 1] += prod
         stacked = np.stack(acc, axis=1).reshape(-1)
         data.append([int(x) for x in stacked])
     return data
@@ -386,13 +361,13 @@ def rational_reconstruct(a: int, p: int) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# identity certification by exhaustive monomial sweep
+# identity certification by exact sparse layer vectors
 
 @dataclass(frozen=True)
-class SweepWitness:
-    slots: tuple        # ((alpha, component), ...) one per input slot
+class LayerWitness:
+    slots: tuple        # ((alpha, component), ...): m per input of multiplicity m
     component: int      # output coordinate carrying the nonzero value
-    value: object       # int when the combination is integral
+    value: Fraction     # the monomial's coefficient there
 
     def to_json_dict(self) -> dict:
         return {
@@ -405,88 +380,122 @@ class SweepWitness:
 @dataclass(frozen=True)
 class CertifyResult:
     holds: bool
-    witness: Optional[SweepWitness]
+    witness: Optional[LayerWitness]
     tuples_checked: int
     tuples_skipped_off_layer: int
 
 
-def _slot_choices(d: int, w: int, budget: int):
-    """(item, weighted spend) choices for one input slot.  A slot of weight
-    zero never reaches the evaluation, so it is pinned to one constant."""
-    if w == 0:
-        return [(((0,) * d, 1), 0)]
-    out = []
-    for t in range(budget // w + 1):
-        for alpha in _compositions(t, d):
-            for k in range(1, d + 1):
-                out.append(((alpha, k), w * t))
-    return out
-
-
 def _layer_tuples(d: int, slots: int, weights, total: int):
-    """Monomial inputs, one (alpha, component) per slot, with the weighted
-    total degree pinned to `total` (the only tuples that can contribute at
-    the origin; everything else vanishes term by term)."""
-    def rec(i, remaining):
-        if i == slots:
+    """Monomial tuples of total degree `total` (off it every row vanishes at
+    the origin) in witness order: lexicographic in the items (alpha,
+    component), ordered by degree, then alpha, then component.  Slot i of
+    weight m takes a multiset of m items, nondecreasing.  The reference walk
+    that `_layer_ranks` counts without walking."""
+    items = [(alpha, k) for alpha in monomials_up_to(d, total) for k in range(1, d + 1)]
+    spend = [sum(alpha) for alpha, _ in items]
+    owner = [i for i in range(slots) for _ in range(weights[i])]
+
+    def rec(p, first, remaining):
+        if p == len(owner):
             if remaining == 0:
                 yield ()
             return
-        for item, spend in _slot_choices(d, weights[i], remaining):
-            for rest in rec(i + 1, remaining - spend):
-                yield (item,) + rest
+        lo = first if p and owner[p] == owner[p - 1] else 0
+        for idx in range(lo, len(items)):
+            if spend[idx] > remaining:
+                break
+            for rest in rec(p + 1, idx, remaining - spend[idx]):
+                yield (items[idx],) + rest
 
-    yield from rec(0, total)
+    yield from rec(0, 0, total)
 
 
-def certify_relation(terms, d: int, config: RunConfig,
-                     exhaustive: bool = False) -> CertifyResult:
+def _layer_ranks(d: int, weights, total: int):
+    """(size, rank): how many tuples `_layer_tuples(d, len(weights), weights,
+    total)` yields, and the 1-based position of one of them.  tables[p][s][b]
+    counts the ways to finish a tuple from flat position p with degree b
+    left and an item index of at least s there: a suffix sum over p + 1."""
+    items = [(alpha, k) for alpha in monomials_up_to(d, total) for k in range(1, d + 1)]
+    spend = [sum(alpha) for alpha, _ in items]
+    index = {item: i for i, item in enumerate(items)}
+    runs = [r > 0 for m in weights for r in range(m)] + [False]  # continues a slot
+    tables = [[[int(b == 0) for b in range(total + 1)]] * (len(items) + 1)]  # past the end
+    for p in reversed(range(len(runs) - 1)):
+        table = [[0] * (total + 1) for _ in range(len(items) + 1)]
+        for s in reversed(range(len(items))):
+            after = tables[0][s if runs[p + 1] else 0]
+            for b in range(total + 1):
+                table[s][b] = table[s + 1][b] + (after[b - spend[s]] if spend[s] <= b else 0)
+        tables.insert(0, table)
+
+    def rank(tup):
+        position, left, lo = 1, total, 0
+        for p, item in enumerate(tup):
+            lo, i = (lo if runs[p] else 0), index[item]
+            position += tables[p][lo][left] - tables[p][i][left]
+            left, lo = left - spend[i], i
+        return position
+    return tables[0][0][total], rank
+
+
+def _layer_vector(terms, n: int, d: int) -> dict:
+    """Nonzero coefficients of the combination's value at the origin as a
+    polynomial in the inputs' jet coefficients, keyed (output component,
+    layer tuple): each support assignment reads [x^gamma] of component js
+    of each vertex's input, and those (gamma, js), sorted slot by slot in
+    item order, are a layer tuple."""
+    vec = {}
+    for coeff, row in terms:
+        for root, factors in _row_support(_row_tree(row), _row_labels(row, n), d):
+            weight = math.prod(math.factorial(g) for _, _, gamma in factors for g in gamma)
+            factors.sort(key=lambda f: (f[0], sum(f[2]), f[2], f[1]))
+            key = (root, tuple((gamma, j) for _, j, gamma in factors))
+            vec[key] = vec.get(key, 0) + coeff * weight
+    return {key: q for key, q in vec.items() if q}
+
+
+def certify_relation(terms, d: int, config: RunConfig) -> CertifyResult:
     """True iff the rational combination of rows is the zero map in dimension d.
 
-    The sweep runs over monomial input tuples of truncation degree n-1.  In
-    layer mode only tuples of weighted total degree n-1 are touched; every
-    other tuple evaluates to zero at the origin separately for every term
-    (the closed form carries total degree minus n-1), so skipping them loses
-    nothing.  `exhaustive` sweeps every tuple instead - same verdict, used
-    as a cross-check oracle on small cases.  The witness is the first
-    nonzero tuple in sweep order.  The sweep reads no setting from `config`.
+    Exact for every row shape: it holds iff every coefficient of its
+    `_layer_vector` vanishes.  The witness is the first nonzero layer tuple
+    in `_layer_tuples` order, with the least output component nonzero there;
+    when every input feeds one vertex, it is a monomial input tuple and the
+    coefficient is the combination's value on it at the origin.
+    `tuples_checked` is its 1-based position, or the layer size when the
+    relation holds.  Reads no setting from `config`.
     """
     _check_dimension(d)
     terms = [(Fraction(c), row) for c, row in terms]
-    n, ell, weights = _rows_shape([row for _, row in terms])
-    degree = n - 1
-    prepared = [(coeff, _row_tree(row), _row_labels(row, n)) for coeff, row in terms]
-    if exhaustive:
-        stream = itertools.product(_monomial_items(d, degree), repeat=ell)
-    else:
-        stream = _layer_tuples(d, ell, weights, degree)
-    checked = 0
-    witness = None
-    for tup in stream:
-        checked += 1
-        sums = {}
-        for coeff, tree, labels in prepared:
-            hit = _origin_value(tree, labels, tup)
-            if hit:
-                sums[hit[0]] = sums.get(hit[0], Fraction(0)) + coeff * hit[1]
-        bad = [k for k, q in sums.items() if q]
-        if bad:
-            comp = min(bad)
-            value = sums[comp]
-            witness = SweepWitness(slots=tup, component=comp,
-                                   value=int(value) if value.denominator == 1 else value)
-            break
-    if exhaustive or witness is not None:
-        skipped = 0
-    else:
-        skipped = len(_monomial_items(d, degree)) ** ell - checked
-    return CertifyResult(holds=witness is None, witness=witness,
-                         tuples_checked=checked, tuples_skipped_off_layer=skipped)
+    n, _, weights = _rows_shape([row for _, row in terms])
+    _check_assignments(d, n)
+    size, rank = _layer_ranks(d, weights, n - 1)
+    vec = _layer_vector(terms, n, d)
+    if not vec:
+        items = monomial_basis_size(d, n - 1)
+        tuples = math.prod(math.comb(items + m - 1, m) for m in weights)
+        return CertifyResult(holds=True, witness=None, tuples_checked=size,
+                             tuples_skipped_off_layer=tuples - size)
+    comp, tup = min(vec, key=lambda key: (rank(key[1]), key[0]))
+    witness = LayerWitness(slots=tup, component=comp, value=vec[comp, tup])
+    return CertifyResult(holds=False, witness=witness, tuples_checked=rank(tup),
+                         tuples_skipped_off_layer=0)
 
 
 def _check_dimension(d: int):
     if d < 1:
         raise PreconditionError(f"dimension must be at least 1, got {d}")
+
+
+# d ** n component assignments a row sums over, in the kernel and verifier
+MAX_COMPONENT_ASSIGNMENTS = 4096
+
+
+def _check_assignments(d: int, n: int):
+    if d ** n > MAX_COMPONENT_ASSIGNMENTS:
+        raise SizeLimitError(
+            f"d ** n = {d ** n} component assignments per row exceed "
+            f"{MAX_COMPONENT_ASSIGNMENTS}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +556,6 @@ class DimensionCertificate:
 
 # column batches one certificate may build before it reports inconclusive
 MAX_BATCHES = 4
-# d ** n component assignments the column kernel sums per row; 8 ** 4
-MAX_COMPONENT_ASSIGNMENTS = 4096
 
 
 def dimension_certificate(rows: Sequence, d: int,
@@ -561,11 +568,7 @@ def dimension_certificate(rows: Sequence, d: int,
     """
     _check_dimension(d)
     rows = tuple(rows)
-    n = _rows_shape(rows)[0]
-    if d ** n > MAX_COMPONENT_ASSIGNMENTS:
-        raise SizeLimitError(
-            f"d ** n = {d ** n} component assignments per row exceed "
-            f"{MAX_COMPONENT_ASSIGNMENTS}")
+    _check_assignments(d, _rows_shape(rows)[0])
     if config.column_budget < len(rows):
         raise PreconditionError(
             "certified answers need a column budget of at least the row count")

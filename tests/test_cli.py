@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from elemdiff import enumerate_trees
 from elemdiff.cli import main
 
 
@@ -166,6 +170,7 @@ def test_threads_flag_is_gone(capsys):
     ("mi", "enum", "--n", "3", "--format", "yaml"),          # bad choice
     ("trees", "canon"),                                      # missing required flag
     ("block",),                                              # missing subcommand
+    ("identity", "certify", "--relation", "rel.json", "--exhaustive"),  # deleted flag
 ])
 def test_argv_errors_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -200,9 +205,43 @@ def test_identity_certify_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "identity", "certify", "--relation", str(path))
     assert code == 0
     assert json.loads(out)["holds"] is True
-    code, out, _ = run_cli(capsys, "identity", "certify", "--relation", str(path),
-                           "--exhaustive")
-    assert json.loads(out)["holds"] is True
+
+
+def test_identity_certify_repeated_colour(capsys, tmp_path):
+    # the chain fed one input thrice is f'(0)^2 f(0), not the zero map
+    rel = {"d": 1, "terms": [{"coeff": "1", "tree": [0, 1, 2], "labels": [1, 1, 1]}]}
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(rel))
+    code, out, _ = run_cli(capsys, "identity", "certify", "--relation", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] is False
+    assert [(s["exponent"], s["component"]) for s in payload["witness"]["inputs"]] == [
+        ([0], 1), ([1], 1), ([1], 1)]
+    assert payload["witness"]["value"] == "1"
+
+
+def test_identity_certify_guard(capsys, tmp_path):
+    rel = {"d": 40, "terms": [{"coeff": "1", "tree": [0, 1, 1]},
+                              {"coeff": "-1", "tree": [0, 1, 2]}]}
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(rel))
+    code, out, err = run_cli(capsys, "identity", "certify", "--relation", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "SizeLimitError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "0"), ("--seed", "3"), ("--bound", "1", "--seed", "0"),
+])
+def test_dim_w_repeated_colour_never_certifies_a_wrong_value(capsys, argv):
+    # f'(0)^2 f(0) and f''(0) f(0)^2 are independent: the span has dimension 2
+    code, out, _ = run_cli(capsys, "dim", "w", "--dim", "1", "--n", "3",
+                           "--labels", "3", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "inconclusive" or payload["dimension"] == 2
 
 
 def test_dim_zero_is_a_json_error(capsys):
@@ -216,6 +255,7 @@ def test_dim_zero_is_a_json_error(capsys):
     {"d": 0, "terms": [{"coeff": "1", "tree": [0, 1, 2]},
                        {"coeff": "-1", "tree": [2, 0, 1]}]},
     {"terms": 5},
+    {"d": 1, "terms": [{"coeff": "1", "tree": [0, 1], "labels": [1, 5]}]},
 ])
 def test_identity_certify_bad_file_is_a_json_error(capsys, tmp_path, relation):
     path = tmp_path / "rel.json"
@@ -318,3 +358,51 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "[0,1]\n[2,0]\n"
+
+
+# leaves and containers of arbitrary JSON, with lists of at most six entries
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10**6) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=6)),
+    max_leaves=12)
+_small_ints = st.lists(st.integers(-1, 6), max_size=6)
+_trees = {n: [t.parent_list() for t in enumerate_trees(n)] for n in range(1, 5)}
+
+
+def _terms(n, labelled):
+    labels = {"labels": st.lists(st.integers(1, 3), min_size=n, max_size=n)}
+    return st.lists(st.fixed_dictionaries(
+        {"coeff": st.sampled_from(["1", "-1", "3/2", "-2"]),
+         "tree": st.sampled_from(_trees[n]), **(labels if labelled else {})}),
+        min_size=1, max_size=4)
+
+
+# well-formed relation files, and files with any field replaced by noise
+_wellformed = st.tuples(st.integers(1, 4), st.booleans()).flatmap(
+    lambda shape: st.fixed_dictionaries(
+        {"d": st.integers(1, 3), "terms": _terms(*shape)}))
+_noisy = st.fixed_dictionaries(
+    {"d": st.integers(-1, 50) | _json,
+     "terms": st.lists(st.fixed_dictionaries(
+         {"coeff": st.sampled_from(["1", "1/0", "x", "1e2"]) | _json,
+          "tree": st.sampled_from(_trees[3]) | _small_ints | _json},
+         optional={"labels": _small_ints | _json}), max_size=6) | _json})
+
+
+@settings(derandomize=True, deadline=2000, max_examples=300)
+@given(st.one_of(_noisy, _wellformed, _json))
+def test_identity_certify_fuzz(tmp_path_factory, relation):
+    path = tmp_path_factory.mktemp("fuzz") / "rel.json"
+    path.write_text(json.dumps(relation))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["identity", "certify", "--relation", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["holds"] in (True, False)
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())["error"]) == {"type", "message"}

@@ -212,6 +212,20 @@ def test_dimension_repeated_colour_collapses_in_one_variable():
     assert cert2.dimension == 5  # the second variable separates the collapsed pair
 
 
+@pytest.mark.parametrize("profile", [(2,), (3,), (2, 1), (4,), (3, 1), (2, 2), (2, 1, 1)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_repeated_colour_certificates_never_disagree(profile):
+    # jets with coefficients in [-1, 1] make thin samples and false candidate
+    # relations; the exact verifier must refuse those, at every seed
+    n = sum(profile)
+    truth = dimension_labelled(1, n, profile, config=CFG)
+    assert truth.certified
+    for seed in range(200):
+        cfg = RunConfig(seed=seed, random_bound=1)
+        cert = dimension_labelled(1, n, profile, config=cfg)
+        assert cert.dimension in (None, truth.dimension), seed
+
+
 def test_dimension_guard():
     with pytest.raises(SizeLimitError):
         dimension_labelled(3, 5, (1,) * 5, config=CFG)

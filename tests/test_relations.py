@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from elemdiff import (
-    ExhaustiveMonomials,
     PreconditionError,
     RandomColumns,
     RunConfig,
@@ -20,14 +19,20 @@ from elemdiff import (
     dimension_w,
     eliminate_mod,
     enumerate_multi_indices,
+    enumerate_labelled,
     monomial_term,
     monomials_up_to,
     nullspace_relations,
+    random_jet_tuple,
     rational_reconstruct,
     span_rows,
     trace_on_span,
+    tree_value_at_zero,
 )
 from elemdiff.relations import (
+    _layer_ranks,
+    _layer_tuples,
+    _layer_vector,
     exact_rank,
     in_relation_span,
     minor_is_nonsingular_mod,
@@ -74,28 +79,6 @@ def test_batched_and_exact_entry_paths_agree():
         for r in range(len(m.rows)):
             for c in range(m.ncols):
                 assert m.check_entry(r, c)
-
-
-@pytest.mark.parametrize("d,n", [(2, 3), (1, 4)])
-def test_exhaustive_entries_are_monomial_terms(d, n):
-    rows = span_rows(n)
-    m = build_matrix(rows, d, ExhaustiveMonomials(), CFG)
-    items = [(alpha, k) for alpha in monomials_up_to(d, n - 1) for k in range(1, d + 1)]
-    tuples = list(itertools.product(items, repeat=n))
-    assert m.ncols == len(tuples) * d
-    for r, tree in enumerate(rows):
-        for t, tup in enumerate(tuples):
-            val = monomial_term(tree, {v: tup[v - 1] for v in tree.vertices})
-            at_origin = val.coeff if val.coeff and not any(val.exponent) else 0
-            for k in range(1, d + 1):
-                assert m.data[r][t * d + k - 1] == (at_origin if val.comp == k else 0)
-
-
-def test_exhaustive_scheme_matches_random_rank():
-    rows = span_rows(3)
-    me = build_matrix(rows, 1, ExhaustiveMonomials(), CFG)
-    mr = build_matrix(rows, 1, RandomColumns(tuples=30, seed=5), CFG)
-    assert exact_rank(me)[0] == exact_rank(mr)[0] == 6
 
 
 def test_build_matrix_respects_budget():
@@ -193,13 +176,104 @@ def test_certify_true_relation_d1():
     assert res.tuples_skipped_off_layer > 0
 
 
-def test_certify_layer_agrees_with_exhaustive():
-    t1, t2 = same_fiber_pair()
-    lay = certify_relation([(1, t1), (-1, t2)], 1, CFG)
-    exh = certify_relation([(1, t1), (-1, t2)], 1, CFG, exhaustive=True)
-    assert lay.holds == exh.holds is True
-    assert exh.tuples_skipped_off_layer == 0
-    assert exh.tuples_checked >= lay.tuples_checked
+def _rows_of(d, n, profile):
+    """(rows, input count, weights) of a plain span or of one colour profile."""
+    if profile is None:
+        return span_rows(n), n, (1,) * n
+    rows = [(o.tree, o.labels) for o in enumerate_labelled(n, len(profile), profile)]
+    return rows, len(profile), profile
+
+
+def _profile_id(value):
+    """Test id of a colour profile or weight vector: "2,1"; "plain" for None."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "plain" if value is None else None
+
+
+@pytest.mark.parametrize("d,n,profile", [
+    (1, 4, None), (2, 3, None), (3, 3, None), (2, 3, (2, 1)), (2, 3, (3,)),
+], ids=_profile_id)
+def test_layer_vector_is_tree_value_at_zero(d, n, profile):
+    # each sparse vector, read as a polynomial in the jet coefficients and
+    # evaluated on random integer jets, is the row's value at the origin
+    rows, ell, weights = _rows_of(d, n, profile)
+    slot_of = [i for i in range(ell) for _ in range(weights[i])]
+    rng = random.Random(41)
+    for _ in range(3):
+        jets = random_jet_tuple(rng, ell, d, n - 1, 5)
+        for row in rows:
+            tree, labels = row if profile else (row, tuple(range(1, n + 1)))
+            got = [Fraction(0)] * d
+            for (comp, tup), q in _layer_vector([(Fraction(1), row)], n, d).items():
+                for p, (alpha, k) in enumerate(tup):
+                    q *= jets[slot_of[p]].coeff(alpha, k)
+                got[comp - 1] += q
+            want = tree_value_at_zero(tree, {v: jets[labels[v - 1] - 1] for v in tree.vertices})
+            assert tuple(got) == want
+
+
+def _brute_force_holds(terms, d, n):
+    """Sweep every monomial tuple of degree <= n-1 with `monomial_term`."""
+    items = [(alpha, k) for alpha in monomials_up_to(d, n - 1) for k in range(1, d + 1)]
+    for tup in itertools.product(items, repeat=n):
+        sums = {}
+        for coeff, tree in terms:
+            val = monomial_term(tree, {v: tup[v - 1] for v in tree.vertices})
+            if val.coeff and not any(val.exponent):
+                sums[val.comp] = sums.get(val.comp, 0) + coeff * val.coeff
+        if any(sums.values()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("d,n,pairs", [(1, 3, None), (1, 4, 40), (2, 2, None), (2, 3, 12)])
+def test_certify_matches_brute_force_sweep(d, n, pairs):
+    trees = span_rows(n)
+    combos = list(itertools.combinations(trees, 2))
+    if pairs is not None:
+        combos = random.Random(43).sample(combos, pairs)
+    verdicts = set()
+    for t1, t2 in combos:
+        terms = [(1, t1), (-1, t2)]
+        holds = certify_relation(terms, d, CFG).holds
+        assert holds == _brute_force_holds(terms, d, n)
+        verdicts.add(holds)
+    assert verdicts == ({False} if d > 1 else {True, False})
+
+
+@pytest.mark.parametrize("d,weights", [
+    (1, (1, 1, 1)), (2, (1, 1, 1)), (3, (1, 1, 1, 1)), (2, (2, 1)), (3, (3,)),
+    (2, (2, 2)), (2, (1, 2, 1)), (2, (3, 2)), (1, (0, 2, 1)),
+], ids=_profile_id)
+def test_layer_ranks_count_the_walk(d, weights):
+    total = sum(weights) - 1
+    walk = list(_layer_tuples(d, len(weights), weights, total))
+    size, rank = _layer_ranks(d, weights, total)
+    assert size == len(walk)
+    for pos, tup in enumerate(walk, start=1):
+        assert rank(tup) == pos
+
+
+def test_certify_repeated_colour_is_exact():
+    # f'(0)^2 f(0): the chain fed one input thrice is not the zero map, so
+    # the monomial f'(0)^2 f(0) must show up as the witness
+    chain = chain_tree([1, 2, 3])
+    res = certify_relation([(1, (chain, (1, 1, 1)))], 1, CFG)
+    assert not res.holds
+    assert res.witness.slots == (((0,), 1), ((1,), 1), ((1,), 1))
+    assert res.witness.value == 1
+    assert res.tuples_checked == 2
+
+
+def test_component_assignment_guard():
+    # 17 ** 3 > 8 ** 4 component assignments per row, for both callers
+    t1, t2 = span_rows(3)[:2]
+    with pytest.raises(SizeLimitError):
+        certify_relation([(1, t1), (-1, t2)], 17, CFG)
+    with pytest.raises(SizeLimitError):
+        dimension_certificate(span_rows(3), 17, CFG)
+    assert certify_relation([(1, t1), (-1, t2)], 16, CFG).witness is not None
 
 
 def test_certify_false_relation_yields_checkable_witness():
