@@ -23,7 +23,8 @@ from .groups import (character_table, conjugacy_classes, constraint_scan,
 from .jets import Jet
 from .labelling import dimension_labelled, enumerate_labelled
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
-from .relations import block_basis, certify_relation, dimension_w
+from .relations import (MAX_ROW_VERTICES, block_basis, certify_relation,
+                        dimension_w)
 from .trees import Tree, enumerate_trees
 
 
@@ -32,13 +33,6 @@ from .trees import Tree, enumerate_trees
 
 def _json_artifact(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _pick_format(args, default: str, supported) -> str:
-    fmt = args.format or default
-    if fmt not in supported:
-        raise PreconditionError(f"format {fmt!r} not supported here (use {sorted(supported)})")
-    return fmt
 
 
 def _parse_parents(text: str) -> Tree:
@@ -58,7 +52,8 @@ def _is_int(x) -> bool:
 
 
 def _load_relation(path: str):
-    """(d, terms) from a relation file; a malformed file is a PreconditionError."""
+    """(d, terms) from a relation file; a malformed file is a PreconditionError,
+    a tree over `MAX_ROW_VERTICES` a SizeLimitError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not (isinstance(raw, dict) and _is_int(raw.get("d"))
@@ -78,6 +73,8 @@ def _load_relation(path: str):
             coeff = Fraction(str(item["coeff"]))
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"bad coefficient {item['coeff']!r}")
+        if len(tree) > MAX_ROW_VERTICES:
+            raise SizeLimitError(f"{len(tree)} vertices per row exceed {MAX_ROW_VERTICES}")
         tree = Tree.from_parents(tree)
         if labels is not None and (len(labels) != tree.size
                                    or set(labels) != set(range(1, max(labels) + 1))):
@@ -101,8 +98,7 @@ def _load_jets(path: str) -> list:
 
 def _cmd_trees_enum(args, config):
     trees = enumerate_trees(args.n)
-    fmt = _pick_format(args, "text", {"text", "json"})
-    if fmt == "text":
+    if args.format == "text":
         return "".join(_parents_text(t) + "\n" for t in trees)
     return _json_artifact({"n": args.n, "count": len(trees),
                            "trees": [t.parent_list() for t in trees]})
@@ -115,8 +111,7 @@ def _orbit_representatives(n: int) -> list:
 
 def _cmd_trees_canon(args, config):
     reps = _orbit_representatives(args.n)
-    fmt = _pick_format(args, "text", {"text", "json"})
-    if fmt == "text":
+    if args.format == "text":
         return "".join(_parents_text(t) + "\n" for t in reps)
     return _json_artifact({"n": args.n, "orbitCount": len(reps),
                            "representatives": [t.parent_list() for t in reps]})
@@ -124,8 +119,7 @@ def _cmd_trees_canon(args, config):
 
 def _cmd_mi_enum(args, config):
     mis = enumerate_multi_indices(args.n)
-    fmt = _pick_format(args, "text", {"text", "json"})
-    if fmt == "text":
+    if args.format == "text":
         return "".join(m.text() + "\n" for m in mis)
     return _json_artifact({"n": args.n, "count": len(mis),
                            "multiIndices": [m.to_json_dict() for m in mis]})
@@ -134,8 +128,7 @@ def _cmd_mi_enum(args, config):
 def _cmd_mi_project(args, config):
     tree = _parse_parents(args.tree)
     mi = project_arities(tree)
-    fmt = _pick_format(args, "text", {"text", "json"})
-    if fmt == "text":
+    if args.format == "text":
         return mi.text() + "\n"
     return _json_artifact(mi.to_json_dict())
 
@@ -146,7 +139,6 @@ def _cmd_eval_f(args, config):
     if any(j.d != args.dim for j in inputs):
         raise PreconditionError("inputs disagree with --dim")
     result = eval_tree(tree, inputs, degree=args.degree)
-    _pick_format(args, "json", {"json"})
     return _json_artifact(result.to_json_dict())
 
 
@@ -154,7 +146,6 @@ def _cmd_eval_g(args, config):
     mi = MultiIndex.parse(args.mi)
     inputs = _load_jets(args.inputs)
     result = eval_multiindex(mi, inputs)
-    _pick_format(args, "json", {"json"})
     return _json_artifact(result.to_json_dict())
 
 
@@ -170,7 +161,6 @@ def _cmd_dim_w(args, config):
         cert = dimension_w(args.dim, args.n, config=config)
         head = {"kind": "all"}
     payload = {"d": args.dim, "n": args.n, **head, **cert.to_json_dict()}
-    _pick_format(args, "json", {"json"})
     return _json_artifact(payload)
 
 
@@ -190,7 +180,6 @@ def _cmd_identity_s2d(args, config):
         "tuplesChecked": result.tuples_checked,
         "witness": result.witness.to_json_dict() if result.witness else None,
     }
-    _pick_format(args, "json", {"json"})
     return _json_artifact(payload)
 
 
@@ -203,15 +192,13 @@ def _cmd_identity_certify(args, config):
         "tuplesChecked": result.tuples_checked,
         "witness": result.witness.to_json_dict() if result.witness else None,
     }
-    _pick_format(args, "json", {"json"})
     return _json_artifact(payload)
 
 
 def _cmd_char_table(args, config):
     rows = character_table(args.n)
-    fmt = _pick_format(args, "csv", {"csv", "json"})
     labels = [cc.label for cc in conjugacy_classes(args.n)]
-    if fmt == "json":
+    if args.format == "json":
         return _json_artifact({
             "n": args.n,
             "classes": labels,
@@ -227,7 +214,6 @@ def _cmd_char_table(args, config):
 
 def _cmd_groups_subgroups(args, config):
     subs = subgroup_classes(args.n)
-    _pick_format(args, "json", {"json"})
     return _json_artifact({
         "n": args.n,
         "classCount": len(subs),
@@ -247,13 +233,11 @@ def _cmd_groups_subgroups(args, config):
 def _cmd_groups_scan(args, config):
     reference = tree_fixed_character(5) if args.control else None
     report = constraint_scan(reference)
-    _pick_format(args, "json", {"json"})
     return _json_artifact(report.to_json_dict())
 
 
 def _cmd_block_basis(args, config):
     blocks = block_basis(args.dim, args.n, orbit_code=args.mi_orbit, config=config)
-    _pick_format(args, "json", {"json"})
     return _json_artifact({
         "d": args.dim,
         "n": args.n,
@@ -275,7 +259,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # argparse destinations that RunConfig takes; absent flags keep its defaults
-_CONFIG_FIELDS = ("seed", "prime", "column_budget", "random_bound")
+_CONFIG_FIELDS = ("seed", "random_bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,12 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     # flags live on the leaf commands that read them, so they trail the subcommand
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=["json", "csv", "text"], default=None)
     common.add_argument("--out", default=None, help="write the artifact to a file")
     certifying = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
-    certifying.add_argument("--prime", type=int, help="modular prime, above 2^60")
-    certifying.add_argument("--column-budget", type=int,
-                            help="most evaluation columns one certificate may build")
     certifying.add_argument("--bound", type=int, dest="random_bound",
                             help="coefficient bound for random jets")
     shared = [common]
@@ -300,17 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     trees = sub.add_parser("trees").add_subparsers(dest="sub", required=True)
     t_enum = trees.add_parser("enum", parents=shared)
     t_enum.add_argument("--n", type=int, required=True)
+    t_enum.add_argument("--format", choices=["text", "json"], default="text")
     t_enum.set_defaults(handler=_cmd_trees_enum)
     t_canon = trees.add_parser("canon", parents=shared)
     t_canon.add_argument("--n", type=int, required=True)
+    t_canon.add_argument("--format", choices=["text", "json"], default="text")
     t_canon.set_defaults(handler=_cmd_trees_canon)
 
     mi = sub.add_parser("mi").add_subparsers(dest="sub", required=True)
     m_enum = mi.add_parser("enum", parents=shared)
     m_enum.add_argument("--n", type=int, required=True)
+    m_enum.add_argument("--format", choices=["text", "json"], default="text")
     m_enum.set_defaults(handler=_cmd_mi_enum)
     m_proj = mi.add_parser("project", parents=shared)
     m_proj.add_argument("--tree", required=True)
+    m_proj.add_argument("--format", choices=["text", "json"], default="text")
     m_proj.set_defaults(handler=_cmd_mi_project)
 
     ev = sub.add_parser("eval").add_subparsers(dest="sub", required=True)
@@ -346,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     char = sub.add_parser("char").add_subparsers(dest="sub", required=True)
     c_t = char.add_parser("table", parents=shared)
     c_t.add_argument("--n", type=int, default=5)
+    c_t.add_argument("--format", choices=["csv", "json"], default="csv")
     c_t.set_defaults(handler=_cmd_char_table)
 
     groups = sub.add_parser("groups").add_subparsers(dest="sub", required=True)

@@ -2,7 +2,7 @@
 
 Soundness layout:
   * entries are exact integers (random integer jets, value at the origin);
-  * a nonsingular square minor modulo the configured prime proves the same
+  * a nonsingular square minor modulo the prime `PRIME` proves the same
     minor is nonsingular over the rationals, so modular rank is an exact
     lower bound once the minor is re-checked;
   * candidate row relations are lifted from the modular nullspace by
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,18 +114,19 @@ class EvalMatrix:
 
 
 def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig) -> EvalMatrix:
-    """Evaluate every row on every column tuple, reading values at the origin."""
+    """Evaluate every row on every column tuple, reading values at the origin.
+    Reads no setting from `config`; the scheme carries seed and bound."""
     rows = tuple(rows)
     n, ell, _weights = _rows_shape(rows)
     degree = n - 1
-    if scheme.tuples * d > config.column_budget:
+    if scheme.tuples * d > MAX_COLUMNS:
         raise SizeLimitError(
-            f"{scheme.tuples * d} columns exceed the budget {config.column_budget}")
+            f"{scheme.tuples * d} columns exceed the budget {MAX_COLUMNS}")
     rng = random.Random(scheme.seed)
     tuples = tuple(
         random_jet_tuple(rng, ell, d, degree, scheme.bound) for _ in range(scheme.tuples)
     )
-    data = _column_entries(rows, tuples, n, ell, d, degree, scheme.bound)
+    data = _column_entries(rows, tuples, n, ell, d, degree)
     col_index = tuple((t, k) for t in range(len(tuples)) for k in range(1, d + 1))
     return EvalMatrix(rows=rows, d=d, degree=degree, input_count=ell,
                       col_index=col_index, data=data, tuples=tuples,
@@ -151,20 +153,15 @@ def _row_support(tree: Tree, labels, d: int):
         yield js[root], factors
 
 
-def _column_entries(rows, tuples, n, ell, d, degree, bound):
-    """Value at the origin of every row on every tuple of integer jets whose
-    coefficients are at most `bound` in size, one column per output component.
+def _column_entries(rows, tuples, n, ell, d, degree):
+    """Value at the origin of every row on every tuple of integer jets, one
+    column per output component, in exact Python integers.
 
     Each row sums, over its `_row_support`, the product of factorial-weighted
-    jet coefficients.  A vertex factor is at most (n-1)! * bound, so numpy
-    int64 is exact below the worst case 2^62; above it the arrays hold
-    Python ints.
+    jet coefficients: one list per factor holds its coefficient on every
+    tuple, and each assignment's product is added to its root component's
+    list.
     """
-    import numpy as np
-
-    worst = (d ** n) * ((math.factorial(n - 1) * bound) ** n)
-    dtype = np.int64 if worst < (1 << 62) else object
-    nt = len(tuples)
     gammas = monomials_up_to(d, degree)
     weight = {g: math.prod(math.factorial(x) for x in g) for g in gammas}
     table = {}
@@ -172,20 +169,16 @@ def _column_entries(rows, tuples, n, ell, d, degree, bound):
         for j in range(1, d + 1):
             for g in gammas:
                 w = weight[g]
-                table[(i, j, g)] = np.array(
-                    [int(tuples[t][i - 1].coeff(g, j)) * w for t in range(nt)],
-                    dtype=dtype)
+                table[(i, j, g)] = [int(tup[i - 1].coeff(g, j)) * w for tup in tuples]
     data = []
     for row in rows:
-        acc = [np.zeros(nt, dtype=dtype) for _ in range(d)]
+        acc = [[0] * len(tuples) for _ in range(d)]
         for root, factors in _row_support(_row_tree(row), _row_labels(row, n), d):
-            prod = None
-            for factor in factors:
-                vec = table[factor]
-                prod = vec if prod is None else prod * vec
-            acc[root - 1] += prod
-        stacked = np.stack(acc, axis=1).reshape(-1)
-        data.append([int(x) for x in stacked])
+            prod = table[factors[0]]
+            for factor in factors[1:]:
+                prod = map(operator.mul, prod, table[factor])
+            acc[root - 1] = list(map(operator.add, acc[root - 1], prod))
+        data.append([x for column in zip(*acc) for x in column])
     return data
 
 
@@ -201,7 +194,7 @@ class Elimination:
     null_vectors: list   # left-nullspace vectors mod p, aligned with null_rows
 
 
-def eliminate_mod(matrix, p: int, track_nullspace: bool = False) -> Elimination:
+def eliminate_mod(matrix, p: int) -> Elimination:
     """Left-looking, no row swaps: each row is reduced against the pivots in
     creation order, so a vanishing row yields a nullspace vector supported on
     itself plus earlier pivot rows - an echelon structure that makes the
@@ -212,26 +205,21 @@ def eliminate_mod(matrix, p: int, track_nullspace: bool = False) -> Elimination:
     null_rows, null_vectors = [], []
     for pos in range(nrows):
         row = [x % p for x in matrix[pos]]
-        aug = None
-        if track_nullspace:
-            aug = [0] * nrows
-            aug[pos] = 1
+        aug = [0] * nrows
+        aug[pos] = 1
         for ppos, pcol, prow, paug in pivots:
             f = row[pcol]
             if f:
                 row[pcol:] = [(a - f * b) % p for a, b in zip(row[pcol:], prow[pcol:])]
-                if track_nullspace:
-                    aug = [(a - f * b) % p for a, b in zip(aug, paug)]
+                aug = [(a - f * b) % p for a, b in zip(aug, paug)]
         lead = next((c for c in range(ncols) if row[c]), None)
         if lead is None:
             null_rows.append(pos)
-            if track_nullspace:
-                null_vectors.append(aug)
+            null_vectors.append(aug)
             continue
         inv = pow(row[lead], p - 2, p)
         row[lead:] = [a * inv % p for a in row[lead:]]
-        if track_nullspace:
-            aug = [a * inv % p for a in aug]
+        aug = [a * inv % p for a in aug]
         pivots.append((pos, lead, row, aug))
     return Elimination(
         rank=len(pivots),
@@ -489,9 +477,13 @@ def _check_dimension(d: int):
 
 # d ** n component assignments a row sums over, in the kernel and verifier
 MAX_COMPONENT_ASSIGNMENTS = 4096
+# vertices per row; binds at d = 1, where the verifier's rank table grows as n^3
+MAX_ROW_VERTICES = 128
 
 
 def _check_assignments(d: int, n: int):
+    if n > MAX_ROW_VERTICES:
+        raise SizeLimitError(f"{n} vertices per row exceed {MAX_ROW_VERTICES}")
     if d ** n > MAX_COMPONENT_ASSIGNMENTS:
         raise SizeLimitError(
             f"d ** n = {d ** n} component assignments per row exceed "
@@ -556,6 +548,10 @@ class DimensionCertificate:
 
 # column batches one certificate may build before it reports inconclusive
 MAX_BATCHES = 4
+# evaluation columns one matrix may hold
+MAX_COLUMNS = 6000
+# modular prime of the elimination: the Mersenne prime 2^61 - 1
+PRIME = (1 << 61) - 1
 
 
 def dimension_certificate(rows: Sequence, d: int,
@@ -569,16 +565,15 @@ def dimension_certificate(rows: Sequence, d: int,
     _check_dimension(d)
     rows = tuple(rows)
     _check_assignments(d, _rows_shape(rows)[0])
-    if config.column_budget < len(rows):
+    if MAX_COLUMNS < len(rows):
         raise PreconditionError(
             "certified answers need a column budget of at least the row count")
-    p = config.prime
     batch_tuples = max(1, -(-3 * len(rows) // (2 * d)))  # ceil(1.5 * rows / d)
     total_tuples = 0
     last = None
     prev_rank = None
     for _ in range(MAX_BATCHES):
-        want = min(total_tuples + batch_tuples, config.column_budget // d)
+        want = min(total_tuples + batch_tuples, MAX_COLUMNS // d)
         if want <= total_tuples:
             break
         total_tuples = want
@@ -586,13 +581,13 @@ def dimension_certificate(rows: Sequence, d: int,
                                bound=config.random_bound)
         matrix = build_matrix(rows, d, scheme, config)
         data = matrix.data
-        elim = eliminate_mod(data, p, track_nullspace=True)
-        if not minor_is_nonsingular_mod(data, elim.pivot_rows, elim.pivot_cols, p):
+        elim = eliminate_mod(data, PRIME)
+        if not minor_is_nonsingular_mod(data, elim.pivot_rows, elim.pivot_cols, PRIME):
             raise PreconditionError("pivot minor failed its own recheck")
         lower = elim.rank
         relations = []
         for pos, vec in zip(elim.null_rows, elim.null_vectors):
-            lifted = _lift_relation(vec, p)
+            lifted = _lift_relation(vec, PRIME)
             if lifted is None:
                 relations.append(CertifiedRelation(leading=pos, coeffs=(), verified=False))
                 continue
@@ -607,7 +602,7 @@ def dimension_certificate(rows: Sequence, d: int,
             dimension=lower if lower == upper else None,
             lower=lower, upper=upper, rank=elim.rank,
             minor_rows=tuple(elim.pivot_rows), minor_cols=tuple(elim.pivot_cols),
-            relations=tuple(relations), prime=p, seed=config.seed,
+            relations=tuple(relations), prime=PRIME, seed=config.seed,
             scheme=matrix.provenance, columns=matrix.ncols, row_count=len(rows),
         )
         if last.certified:

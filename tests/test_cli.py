@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from elemdiff import enumerate_trees
 from elemdiff.cli import main
+from elemdiff.relations import MAX_ROW_VERTICES
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,9 @@ def test_threads_flag_is_gone(capsys):
     ("trees", "canon"),                                      # missing required flag
     ("block",),                                              # missing subcommand
     ("identity", "certify", "--relation", "rel.json", "--exhaustive"),  # deleted flag
+    ("dim", "w", "--dim", "1", "--n", "3", "--prime", "5"),
+    ("dim", "w", "--dim", "1", "--n", "3", "--column-budget", "10"),
+    ("dim", "w", "--dim", "1", "--n", "3", "--format", "json"),  # one format only
 ])
 def test_argv_errors_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -183,7 +187,7 @@ def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim", "w", "--help"])
     assert exc.value.code == 0
-    assert "--column-budget" in capsys.readouterr().out
+    assert "--bound" in capsys.readouterr().out
 
 
 def test_identity_s2d_guard(capsys):
@@ -222,14 +226,17 @@ def test_identity_certify_repeated_colour(capsys, tmp_path):
 
 
 def test_identity_certify_guard(capsys, tmp_path):
-    rel = {"d": 40, "terms": [{"coeff": "1", "tree": [0, 1, 1]},
-                              {"coeff": "-1", "tree": [0, 1, 2]}]}
-    path = tmp_path / "rel.json"
-    path.write_text(json.dumps(rel))
-    code, out, err = run_cli(capsys, "identity", "certify", "--relation", str(path))
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"]["type"] == "SizeLimitError"
+    wide = {"d": 40, "terms": [{"coeff": "1", "tree": [0, 1, 1]},
+                               {"coeff": "-1", "tree": [0, 1, 2]}]}
+    # one vertex over the bound at d = 1, refused before a Tree is built
+    long = {"d": 1, "terms": [{"coeff": "1", "tree": list(range(MAX_ROW_VERTICES + 1))}]}
+    for rel in (wide, long):
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps(rel))
+        code, out, err = run_cli(capsys, "identity", "certify", "--relation", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "SizeLimitError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +357,22 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["rows"]["tree_fixed_points"][0] == 625
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "w", "--dim", "2", "--n", "4", "--seed", "1"),
+    ("block", "basis", "--dim", "2", "--n", "4", "--mi-orbit", "1,1,1,0", "--seed", "1"),
+])
+def test_certificates_need_no_numpy(capsys, argv):
+    # an entry of None in sys.modules makes `import numpy` raise ImportError
+    script = ("import sys; sys.modules['numpy'] = None\n"
+              "from elemdiff.cli import main\n"
+              f"sys.exit(main({list(argv)!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_console_entry_point():

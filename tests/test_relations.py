@@ -30,6 +30,8 @@ from elemdiff import (
     tree_value_at_zero,
 )
 from elemdiff.relations import (
+    MAX_ROW_VERTICES,
+    PRIME,
     _layer_ranks,
     _layer_tuples,
     _layer_vector,
@@ -71,7 +73,7 @@ def test_build_matrix_reproducible():
 
 def test_batched_and_exact_entry_paths_agree():
     # every kernel entry against the independent tree_value_at_zero oracle:
-    # small jets take the int64 arrays, bound 10**6 forces exact Python ints
+    # small jets give small entries, bound 10**6 entries beyond 2^63
     small = build_matrix(span_rows(3), 2, RandomColumns(tuples=5, seed=31), CFG)
     large = build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=31, bound=10**6), CFG)
     assert max(abs(x) for row in large.data for x in row) >= 2**63
@@ -118,7 +120,7 @@ def test_exact_rank_known_cases():
 
 def test_eliminate_mod_agrees_with_exact_rank():
     rng = random.Random(23)
-    p = CFG.prime
+    p = PRIME
     for _ in range(10):
         m = random_int_matrix(rng, 7, 6, rng.randint(1, 5))
         elim = eliminate_mod(m, p)
@@ -127,9 +129,9 @@ def test_eliminate_mod_agrees_with_exact_rank():
 
 def test_eliminate_mod_nullspace_annihilates():
     rng = random.Random(29)
-    p = CFG.prime
+    p = PRIME
     m = random_int_matrix(rng, 8, 5, 3)
-    elim = eliminate_mod(m, p, track_nullspace=True)
+    elim = eliminate_mod(m, p)
     assert len(elim.null_rows) == 8 - elim.rank
     for vec in elim.null_vectors:
         for j in range(5):
@@ -138,7 +140,7 @@ def test_eliminate_mod_nullspace_annihilates():
 
 def test_minor_recheck():
     rng = random.Random(31)
-    p = CFG.prime
+    p = PRIME
     m = random_int_matrix(rng, 6, 6, 4)
     elim = eliminate_mod(m, p)
     assert minor_is_nonsingular_mod(m, elim.pivot_rows, elim.pivot_cols, p)
@@ -149,7 +151,7 @@ def test_minor_recheck():
 
 
 def test_rational_reconstruct_round_trip():
-    p = CFG.prime
+    p = PRIME
     for q in [Fraction(3, 7), Fraction(-22, 5), Fraction(0), Fraction(10**8),
               Fraction(1, 911)]:
         residue = q.numerator * pow(q.denominator, -1, p) % p
@@ -274,6 +276,11 @@ def test_component_assignment_guard():
     with pytest.raises(SizeLimitError):
         dimension_certificate(span_rows(3), 17, CFG)
     assert certify_relation([(1, t1), (-1, t2)], 16, CFG).witness is not None
+    # at d = 1 the vertex count is the bound
+    chain = chain_tree(range(1, MAX_ROW_VERTICES + 1))
+    assert certify_relation([(1, chain)], 1, CFG).witness is not None
+    with pytest.raises(SizeLimitError):
+        certify_relation([(1, chain_tree(range(1, MAX_ROW_VERTICES + 2)))], 1, CFG)
 
 
 def test_certify_false_relation_yields_checkable_witness():
