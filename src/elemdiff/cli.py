@@ -171,7 +171,7 @@ def _cmd_identity_s2d(args, config):
     if check_dim > 3:
         raise SizeLimitError("certification is desk scale for check dimension <= 3")
     terms = standard_identity_tree_terms(args.dim)
-    result = certify_relation(terms, check_dim, config)
+    result = certify_relation(terms, check_dim)
     payload = {
         "arity": 2 * args.dim + 1,
         "identityDim": args.dim,
@@ -185,7 +185,7 @@ def _cmd_identity_s2d(args, config):
 
 def _cmd_identity_certify(args, config):
     d, terms = _load_relation(args.relation)
-    result = certify_relation(terms, d, config)
+    result = certify_relation(terms, d)
     payload = {
         "d": d,
         "holds": result.holds,

@@ -13,6 +13,16 @@ Soundness layout:
   * upper bound = rows - verified independent relations.  The two bounds
     either meet ("certified") or the result is reported inconclusive; a
     wrong number is never emitted.
+
+Block lemma: the monomial of a component assignment js names, for each
+input, the multiset of (gamma_v, js_v) over the vertices v reading it, and
+|gamma_v| is v's arity.  So rows with different `_block_key`s (the arity
+multi-index of a plain row; per colour, the sorted vertex arities of a
+labelled one) have disjoint layer-vector supports.  The span is the direct
+sum of its blocks: ranks add, every relation splits into one relation per
+block, and a row is independent of the rows before it iff it is so within
+its block.  `dimension_certificate` therefore certifies block by block and
+adds the bounds.
 """
 
 from __future__ import annotations
@@ -73,6 +83,25 @@ def _rows_shape(rows):
     return n, n, tuple([1] * n)
 
 
+def _block_key(row):
+    """The row's block: its arity multi-index, or for a labelled row, per
+    colour, the sorted arities of the vertices of that colour."""
+    arities = project_arities(_row_tree(row))
+    if not isinstance(row, tuple):
+        return arities
+    labels = row[1]
+    return tuple(tuple(sorted(a for a, c in zip(arities.arities, labels) if c == colour))
+                 for colour in range(1, max(labels) + 1))
+
+
+def _blocks(rows) -> dict:
+    """`_block_key` -> positions of its rows, blocks in order of first row."""
+    out = {}
+    for pos, row in enumerate(rows):
+        out.setdefault(_block_key(row), []).append(pos)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # column schemes and the evaluation matrix
 
@@ -87,6 +116,27 @@ class RandomColumns:
                 "seed": self.seed, "bound": self.bound}
 
 
+class JetStream:
+    """Random integer jet tuples of one shape, drawn in order from one
+    `random.Random(seed)`.  `prefix(t)` draws only the tuples it lacks, and
+    drawing is sequential, so every matrix built on one stream reads the
+    same tuple behind the same column."""
+
+    def __init__(self, seed: int, ell: int, d: int, degree: int, bound: int):
+        self.shape = (ell, d, degree, bound)
+        self._rng = random.Random(seed)
+        self._drawn = []
+
+    def __len__(self) -> int:
+        """Tuples drawn so far: the longest prefix any matrix has read."""
+        return len(self._drawn)
+
+    def prefix(self, t: int) -> tuple:
+        while len(self._drawn) < t:
+            self._drawn.append(random_jet_tuple(self._rng, *self.shape))
+        return tuple(self._drawn[:t])
+
+
 @dataclass
 class EvalMatrix:
     rows: tuple
@@ -96,7 +146,6 @@ class EvalMatrix:
     col_index: tuple  # (tuple position, output component)
     data: list        # list of integer row vectors
     tuples: tuple     # the jet tuples behind the columns
-    provenance: dict
 
     @property
     def ncols(self) -> int:
@@ -113,24 +162,27 @@ class EvalMatrix:
         return value == self.data[r][c]
 
 
-def build_matrix(rows: Sequence, d: int, scheme, config: RunConfig) -> EvalMatrix:
-    """Evaluate every row on every column tuple, reading values at the origin.
-    Reads no setting from `config`; the scheme carries seed and bound."""
+def build_matrix(rows: Sequence, d: int, scheme: RandomColumns,
+                 stream: Optional[JetStream] = None) -> EvalMatrix:
+    """Evaluate every row on the first `scheme.tuples` tuples of `stream`
+    (a fresh stream of the scheme's seed and bound when None), reading
+    values at the origin."""
     rows = tuple(rows)
     n, ell, _weights = _rows_shape(rows)
     degree = n - 1
     if scheme.tuples * d > MAX_COLUMNS:
         raise SizeLimitError(
             f"{scheme.tuples * d} columns exceed the budget {MAX_COLUMNS}")
-    rng = random.Random(scheme.seed)
-    tuples = tuple(
-        random_jet_tuple(rng, ell, d, degree, scheme.bound) for _ in range(scheme.tuples)
-    )
+    shape = (ell, d, degree, scheme.bound)
+    if stream is None:
+        stream = JetStream(scheme.seed, *shape)
+    elif stream.shape != shape:
+        raise MismatchError("jet stream drawn for another row shape")
+    tuples = stream.prefix(scheme.tuples)
     data = _column_entries(rows, tuples, n, ell, d, degree)
     col_index = tuple((t, k) for t in range(len(tuples)) for k in range(1, d + 1))
     return EvalMatrix(rows=rows, d=d, degree=degree, input_count=ell,
-                      col_index=col_index, data=data, tuples=tuples,
-                      provenance=scheme.describe())
+                      col_index=col_index, data=data, tuples=tuples)
 
 
 def _row_support(tree: Tree, labels, d: int):
@@ -442,7 +494,7 @@ def _layer_vector(terms, n: int, d: int) -> dict:
     return {key: q for key, q in vec.items() if q}
 
 
-def certify_relation(terms, d: int, config: RunConfig) -> CertifyResult:
+def certify_relation(terms, d: int) -> CertifyResult:
     """True iff the rational combination of rows is the zero map in dimension d.
 
     Exact for every row shape: it holds iff every coefficient of its
@@ -451,7 +503,7 @@ def certify_relation(terms, d: int, config: RunConfig) -> CertifyResult:
     when every input feeds one vertex, it is a monomial input tuple and the
     coefficient is the combination's value on it at the origin.
     `tuples_checked` is its 1-based position, or the layer size when the
-    relation holds.  Reads no setting from `config`.
+    relation holds.
     """
     _check_dimension(d)
     terms = [(Fraction(c), row) for c, row in terms]
@@ -515,13 +567,14 @@ class DimensionCertificate:
     upper: int
     rank: int
     minor_rows: tuple
-    minor_cols: tuple
+    minor_cols: tuple                 # each pivot row's column in its block's matrix
     relations: tuple                  # CertifiedRelation, echelon leadings
     prime: int
     seed: int
     scheme: dict
-    columns: int
+    columns: int                      # d x the jet tuples the widest block read
     row_count: int
+    blocks: int                       # `_block_key` blocks certified one by one
 
     @property
     def certified(self) -> bool:
@@ -543,11 +596,17 @@ class DimensionCertificate:
             "scheme": self.scheme,
             "columns": self.columns,
             "rows": self.row_count,
+            "blocks": self.blocks,
         }
 
 
-# column batches one certificate may build before it reports inconclusive
+# column batches one block may build before it reports inconclusive
 MAX_BATCHES = 4
+# evaluation columns per batch at least: a one-row block at d = 1 vanishes
+# on about half of all tuples (87 % at bound 1).  Over seeds 0..99, 4 left
+# `dim w --dim 1 --n 5` inconclusive once, and at bound 1, 8 left it so 23
+# times; 16 certified every bench span at both bounds
+MIN_BATCH_COLUMNS = 16
 # evaluation columns one matrix may hold
 MAX_COLUMNS = 6000
 # modular prime of the elimination: the Mersenne prime 2^61 - 1
@@ -558,20 +617,58 @@ def dimension_certificate(rows: Sequence, d: int,
                           config: RunConfig) -> DimensionCertificate:
     """Two-sided dimension of the span of the rows' evaluation maps.
 
-    Columns grow in batches (1.5x the row count to start) until the bounds
-    meet or the modular rank has been stable for two consecutive batches;
-    more columns cannot repair an unverified relation, only a thin sample.
+    Each `_block_key` block is certified on its own (the module docstring's
+    block lemma), on a prefix of one jet stream, so column c names the same
+    (tuple, component) in every block.  The bounds are the blocks' sums, so
+    they meet iff every block's do; pivots and relations keep their global
+    row positions, and each pivot's column is its column in its own block.
     """
     _check_dimension(d)
     rows = tuple(rows)
-    _check_assignments(d, _rows_shape(rows)[0])
-    if MAX_COLUMNS < len(rows):
+    n, ell, _weights = _rows_shape(rows)
+    _check_assignments(d, n)
+    stream = JetStream(config.seed, ell, d, n - 1, config.random_bound)
+    blocks = _blocks(rows)
+    lower = upper = 0
+    pivots, relations = [], []
+    for positions in blocks.values():
+        block_lower, block_upper, block_pivots, block_relations = _certify_block(
+            rows, positions, d, config, stream)
+        lower += block_lower
+        upper += block_upper
+        pivots += block_pivots
+        relations += block_relations
+    pivots.sort()
+    relations.sort(key=lambda r: r.leading)
+    scheme = RandomColumns(tuples=len(stream), seed=config.seed, bound=config.random_bound)
+    return DimensionCertificate(
+        status="certified" if lower == upper else "inconclusive",
+        dimension=lower if lower == upper else None,
+        lower=lower, upper=upper, rank=lower,
+        minor_rows=tuple(r for r, _ in pivots), minor_cols=tuple(c for _, c in pivots),
+        relations=tuple(relations), prime=PRIME, seed=config.seed,
+        scheme=scheme.describe(), columns=len(stream) * d, row_count=len(rows),
+        blocks=len(blocks),
+    )
+
+
+def _certify_block(rows, positions, d, config, stream):
+    """(lower, upper, pivots, relations) of the block of `rows` at
+    `positions`, with pivots as (row position, column) pairs.
+
+    Columns grow in batches (1.5x the row count, and at least
+    `MIN_BATCH_COLUMNS`) until the bounds meet, for at most `MAX_BATCHES`
+    batches.  A rank that two batches agree on does not end the loop: a
+    one-row block at d = 1 and bound 1 vanishes on 87 % of all tuples, so
+    two thin batches often agree on rank 0.
+    """
+    block = [rows[i] for i in positions]
+    if MAX_COLUMNS < len(block):
         raise PreconditionError(
-            "certified answers need a column budget of at least the row count")
-    batch_tuples = max(1, -(-3 * len(rows) // (2 * d)))  # ceil(1.5 * rows / d)
+            "certified answers need a column budget of at least the block's row count")
+    # 1.5 columns per row and at least MIN_BATCH_COLUMNS, in whole tuples
+    batch_tuples = -(-max(3 * len(block), 2 * MIN_BATCH_COLUMNS) // (2 * d))
     total_tuples = 0
-    last = None
-    prev_rank = None
     for _ in range(MAX_BATCHES):
         want = min(total_tuples + batch_tuples, MAX_COLUMNS // d)
         if want <= total_tuples:
@@ -579,40 +676,26 @@ def dimension_certificate(rows: Sequence, d: int,
         total_tuples = want
         scheme = RandomColumns(tuples=total_tuples, seed=config.seed,
                                bound=config.random_bound)
-        matrix = build_matrix(rows, d, scheme, config)
-        data = matrix.data
+        data = build_matrix(block, d, scheme, stream).data
         elim = eliminate_mod(data, PRIME)
         if not minor_is_nonsingular_mod(data, elim.pivot_rows, elim.pivot_cols, PRIME):
             raise PreconditionError("pivot minor failed its own recheck")
-        lower = elim.rank
         relations = []
         for pos, vec in zip(elim.null_rows, elim.null_vectors):
             lifted = _lift_relation(vec, PRIME)
             if lifted is None:
-                relations.append(CertifiedRelation(leading=pos, coeffs=(), verified=False))
+                relations.append(CertifiedRelation(leading=positions[pos], coeffs=(),
+                                                   verified=False))
                 continue
-            terms = [(q, rows[r]) for r, q in lifted]
-            ok = certify_relation(terms, d, config).holds
-            relations.append(CertifiedRelation(leading=pos, coeffs=tuple(lifted),
-                                               verified=ok))
-        verified = [r for r in relations if r.verified]
-        upper = len(rows) - len(verified)
-        last = DimensionCertificate(
-            status="certified" if lower == upper else "inconclusive",
-            dimension=lower if lower == upper else None,
-            lower=lower, upper=upper, rank=elim.rank,
-            minor_rows=tuple(elim.pivot_rows), minor_cols=tuple(elim.pivot_cols),
-            relations=tuple(relations), prime=PRIME, seed=config.seed,
-            scheme=matrix.provenance, columns=matrix.ncols, row_count=len(rows),
-        )
-        if last.certified:
-            return last
-        if prev_rank == elim.rank:
+            ok = certify_relation([(q, block[r]) for r, q in lifted], d).holds
+            relations.append(CertifiedRelation(
+                leading=positions[pos], coeffs=tuple((positions[r], q) for r, q in lifted),
+                verified=ok))
+        upper = len(block) - sum(r.verified for r in relations)
+        if elim.rank == upper:
             break
-        prev_rank = elim.rank
-    if last is None:
-        raise SizeLimitError("column budget cannot fit a single column batch")
-    return last
+    pivots = [(positions[r], c) for r, c in zip(elim.pivot_rows, elim.pivot_cols)]
+    return elim.rank, upper, pivots, relations
 
 
 def _lift_relation(vec_mod_p, p):
@@ -748,6 +831,12 @@ class Block:
         }
 
 
+# tree size `block_basis` admits: its largest orbit, 2,1,1,0,0 at d = 5
+# (30 blocks of 12 rows), takes 21 s; at n = 6, d = 4 one 60-row block of
+# 2,1,1,1,0,0 takes 3.5 s, and that orbit has 60 of them
+MAX_BLOCK_VERTICES = 5
+
+
 def block_basis(d: int, n: int, orbit_code: Optional[str] = None,
                 mi: Optional[MultiIndex] = None,
                 config: Optional[RunConfig] = None) -> list:
@@ -764,18 +853,19 @@ def block_basis(d: int, n: int, orbit_code: Optional[str] = None,
     _check_dimension(d)
     if (orbit_code is None) == (mi is None):
         raise PreconditionError("pass exactly one of orbit_code / mi")
+    if n > MAX_BLOCK_VERTICES:
+        raise SizeLimitError(f"block bases need n <= {MAX_BLOCK_VERTICES}")
     mis = [mi] if mi is not None else [
         m for m in enumerate_multi_indices(n) if m.orbit_code() == orbit_code]
     if not mis:
         raise PreconditionError(f"no multi-index matches orbit {orbit_code!r}")
-    trees_by_mi = {}
-    for t in enumerate_trees(n):
-        trees_by_mi.setdefault(project_arities(t), []).append(t)
+    trees = enumerate_trees(n)
+    blocks = _blocks(trees)
     out = []
     for m in mis:
-        rows = trees_by_mi.get(m, [])
-        if not rows:
-            raise PreconditionError(f"no tree projects to {m.text()}")  # unreachable
+        if m not in blocks:
+            raise PreconditionError(f"no tree projects to {m.text()}")
+        rows = [trees[i] for i in blocks[m]]
         cert = dimension_certificate(rows, d, config)
         basis = tuple(rows[i] for i in cert.minor_rows)
         _check_block_restriction(basis, m, config)

@@ -140,9 +140,9 @@ def test_criterion_03_nullspace_is_the_alternating_span(full_span_5):
 
 
 def test_criterion_04_identity_certificates():
-    r1 = certify_relation(standard_identity_tree_terms(1), 1, CFG)
-    r2 = certify_relation(standard_identity_tree_terms(2), 2, CFG)
-    r3 = certify_relation(standard_identity_tree_terms(2), 3, CFG)
+    r1 = certify_relation(standard_identity_tree_terms(1), 1)
+    r2 = certify_relation(standard_identity_tree_terms(2), 2)
+    r3 = certify_relation(standard_identity_tree_terms(2), 3)
     ok = r1.holds and r2.holds and (not r3.holds) and r3.witness is not None
     verdict(4, ok, f"arity3/d1 holds={r1.holds}; arity5/d2 holds={r2.holds} "
             f"({r2.tuples_checked} tuples); arity5/d3 holds={r3.holds} "

@@ -20,18 +20,22 @@ from elemdiff import (
     eliminate_mod,
     enumerate_multi_indices,
     enumerate_labelled,
+    enumerate_trees,
     monomial_term,
     monomials_up_to,
     nullspace_relations,
+    project_arities,
     random_jet_tuple,
     rational_reconstruct,
     span_rows,
     trace_on_span,
     tree_value_at_zero,
 )
+from elemdiff.errors import MismatchError
 from elemdiff.relations import (
     MAX_ROW_VERTICES,
     PRIME,
+    JetStream,
     _layer_ranks,
     _layer_tuples,
     _layer_vector,
@@ -51,7 +55,7 @@ CFG = RunConfig()
 
 def test_build_matrix_shape_and_entries():
     rows = span_rows(3)
-    m = build_matrix(rows, 2, RandomColumns(tuples=6, seed=99), CFG)
+    m = build_matrix(rows, 2, RandomColumns(tuples=6, seed=99))
     assert m.degree == 2
     assert m.ncols == 12
     assert len(m.data) == 9
@@ -64,18 +68,18 @@ def test_build_matrix_shape_and_entries():
 
 def test_build_matrix_reproducible():
     rows = span_rows(3)
-    a = build_matrix(rows, 2, RandomColumns(tuples=4, seed=7), CFG)
-    b = build_matrix(rows, 2, RandomColumns(tuples=4, seed=7), CFG)
+    a = build_matrix(rows, 2, RandomColumns(tuples=4, seed=7))
+    b = build_matrix(rows, 2, RandomColumns(tuples=4, seed=7))
     assert a.data == b.data
-    c = build_matrix(rows, 2, RandomColumns(tuples=4, seed=8), CFG)
+    c = build_matrix(rows, 2, RandomColumns(tuples=4, seed=8))
     assert a.data != c.data
 
 
 def test_batched_and_exact_entry_paths_agree():
     # every kernel entry against the independent tree_value_at_zero oracle:
     # small jets give small entries, bound 10**6 entries beyond 2^63
-    small = build_matrix(span_rows(3), 2, RandomColumns(tuples=5, seed=31), CFG)
-    large = build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=31, bound=10**6), CFG)
+    small = build_matrix(span_rows(3), 2, RandomColumns(tuples=5, seed=31))
+    large = build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=31, bound=10**6))
     assert max(abs(x) for row in large.data for x in row) >= 2**63
     for m in (small, large):
         for r in range(len(m.rows)):
@@ -83,9 +87,22 @@ def test_batched_and_exact_entry_paths_agree():
                 assert m.check_entry(r, c)
 
 
+def test_build_matrix_reads_a_shared_stream():
+    # matrices on one stream share their first columns; a stream drawn for
+    # another row shape is refused
+    rows = span_rows(3)
+    stream = JetStream(5, 3, 2, 2, 3)
+    long = build_matrix(rows, 2, RandomColumns(tuples=7, seed=5), stream)
+    short = build_matrix(rows, 2, RandomColumns(tuples=3, seed=5), stream)
+    assert [row[:6] for row in long.data] == short.data
+    assert long.data == build_matrix(rows, 2, RandomColumns(tuples=7, seed=5)).data
+    with pytest.raises(MismatchError):
+        build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=5), stream)
+
+
 def test_build_matrix_respects_budget():
     with pytest.raises(SizeLimitError):
-        build_matrix(span_rows(3), 2, RandomColumns(tuples=10**6, seed=1), CFG)
+        build_matrix(span_rows(3), 2, RandomColumns(tuples=10**6, seed=1))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +188,7 @@ def same_fiber_pair():
 
 def test_certify_true_relation_d1():
     t1, t2 = same_fiber_pair()
-    res = certify_relation([(1, t1), (-1, t2)], 1, CFG)
+    res = certify_relation([(1, t1), (-1, t2)], 1)
     assert res.holds
     assert res.witness is None
     assert res.tuples_checked > 0
@@ -238,7 +255,7 @@ def test_certify_matches_brute_force_sweep(d, n, pairs):
     verdicts = set()
     for t1, t2 in combos:
         terms = [(1, t1), (-1, t2)]
-        holds = certify_relation(terms, d, CFG).holds
+        holds = certify_relation(terms, d).holds
         assert holds == _brute_force_holds(terms, d, n)
         verdicts.add(holds)
     assert verdicts == ({False} if d > 1 else {True, False})
@@ -261,7 +278,7 @@ def test_certify_repeated_colour_is_exact():
     # f'(0)^2 f(0): the chain fed one input thrice is not the zero map, so
     # the monomial f'(0)^2 f(0) must show up as the witness
     chain = chain_tree([1, 2, 3])
-    res = certify_relation([(1, (chain, (1, 1, 1)))], 1, CFG)
+    res = certify_relation([(1, (chain, (1, 1, 1)))], 1)
     assert not res.holds
     assert res.witness.slots == (((0,), 1), ((1,), 1), ((1,), 1))
     assert res.witness.value == 1
@@ -272,21 +289,21 @@ def test_component_assignment_guard():
     # 17 ** 3 > 8 ** 4 component assignments per row, for both callers
     t1, t2 = span_rows(3)[:2]
     with pytest.raises(SizeLimitError):
-        certify_relation([(1, t1), (-1, t2)], 17, CFG)
+        certify_relation([(1, t1), (-1, t2)], 17)
     with pytest.raises(SizeLimitError):
         dimension_certificate(span_rows(3), 17, CFG)
-    assert certify_relation([(1, t1), (-1, t2)], 16, CFG).witness is not None
+    assert certify_relation([(1, t1), (-1, t2)], 16).witness is not None
     # at d = 1 the vertex count is the bound
     chain = chain_tree(range(1, MAX_ROW_VERTICES + 1))
-    assert certify_relation([(1, chain)], 1, CFG).witness is not None
+    assert certify_relation([(1, chain)], 1).witness is not None
     with pytest.raises(SizeLimitError):
-        certify_relation([(1, chain_tree(range(1, MAX_ROW_VERTICES + 2)))], 1, CFG)
+        certify_relation([(1, chain_tree(range(1, MAX_ROW_VERTICES + 2)))], 1)
 
 
 def test_certify_false_relation_yields_checkable_witness():
     from elemdiff import monomial_term
     t1, t2 = same_fiber_pair()
-    res = certify_relation([(1, t1), (-1, t2)], 2, CFG)
+    res = certify_relation([(1, t1), (-1, t2)], 2)
     assert not res.holds
     w = res.witness
     assert w is not None
@@ -301,7 +318,7 @@ def test_certify_false_relation_yields_checkable_witness():
 
 def test_certify_scale_invariance():
     t1, t2 = same_fiber_pair()
-    res = certify_relation([(Fraction(2, 3), t1), (Fraction(-2, 3), t2)], 1, CFG)
+    res = certify_relation([(Fraction(2, 3), t1), (Fraction(-2, 3), t2)], 1)
     assert res.holds
 
 
@@ -313,7 +330,7 @@ def test_witness_independent_of_thread_count():
     from elemdiff.relations import _layer_tuples
     t1, t2 = same_fiber_pair()
     n = t1.size
-    res = certify_relation([(1, t1), (-1, t2)], 2, CFG)
+    res = certify_relation([(1, t1), (-1, t2)], 2)
     for position, tup in enumerate(_layer_tuples(2, n, (1,) * n, n - 1), start=1):
         sums = {}
         for tree, sign in ((t1, 1), (t2, -1)):
@@ -334,7 +351,7 @@ def test_witness_independent_of_thread_count():
 def test_dimension_below_one_is_refused():
     t1, t2 = same_fiber_pair()
     with pytest.raises(PreconditionError):
-        certify_relation([(1, t1), (-1, t2)], 0, CFG)
+        certify_relation([(1, t1), (-1, t2)], 0)
     with pytest.raises(PreconditionError):
         dimension_certificate(span_rows(3), 0, CFG)
 
@@ -357,10 +374,11 @@ def test_dimension_certificate_json_shape():
     obj = cert.to_json_dict()
     for key in ("status", "dimension", "certified", "lower", "upper", "rank",
                 "minorRows", "minorCols", "relations", "prime", "seed",
-                "scheme", "columns", "rows"):
+                "scheme", "columns", "rows", "blocks"):
         assert key in obj
     assert obj["certified"] is True
     assert obj["dimension"] == 9
+    assert obj["blocks"] == 6  # the arity vectors of three vertices
 
 
 def test_dimension_d1_sees_only_arities():
@@ -371,6 +389,50 @@ def test_dimension_d1_sees_only_arities():
     assert cert.dimension == 20
     assert len(cert.relations) == 64 - 20
     assert all(rel.verified for rel in cert.relations)
+
+
+def _single_matrix_route(rows, d, seed):
+    """The route before blocks: one matrix over all rows, one elimination
+    modulo PRIME, and a rational lift of every nullspace vector."""
+    tuples = -(-3 * len(rows) // d)  # twice the old first batch
+    data = build_matrix(rows, d, RandomColumns(tuples=tuples, seed=seed)).data
+    elim = eliminate_mod(data, PRIME)
+    relations = [(pos, tuple((r, rational_reconstruct(a, PRIME))
+                             for r, a in enumerate(vec) if a))
+                 for pos, vec in zip(elim.null_rows, elim.null_vectors)]
+    return tuple(elim.pivot_rows), relations
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("d,n,profile", [
+    (2, 3, None), (1, 4, None), (2, 4, None), (3, 4, None),
+    (1, 3, (2, 1)), (1, 4, (3, 1)), (1, 4, (2, 2)), (1, 4, (2, 1, 1)),
+    (2, 4, (2, 1, 1)),
+], ids=_profile_id)
+def test_block_route_matches_single_matrix(d, n, profile, seed):
+    rows, _, _ = _rows_of(d, n, profile)
+    cert = dimension_certificate(rows, d, RunConfig(seed=seed))
+    assert cert.certified
+    pivots, relations = _single_matrix_route(rows, d, seed)
+    assert cert.minor_rows == pivots
+    assert [(r.leading, r.coeffs) for r in cert.relations] == relations
+    assert all(r.verified for r in cert.relations)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (1, 4)])
+def test_block_ranks_add_to_the_stacked_rank(d, n):
+    # blocks by arity vector, grouped here without the package's helper; the
+    # stacked matrix holds every row on as many tuples as the single-matrix
+    # route reads, and its rank over Q is the span's dimension
+    rows = span_rows(n)
+    by_arity = {}
+    for row in rows:
+        by_arity.setdefault(project_arities(row), []).append(row)
+    ranks = [dimension_certificate(block, d, CFG).rank for block in by_arity.values()]
+    cert = dimension_certificate(rows, d, CFG)
+    assert cert.blocks == len(by_arity)
+    stacked = build_matrix(rows, d, RandomColumns(tuples=-(-3 * len(rows) // d), seed=0))
+    assert sum(ranks) == cert.rank == exact_rank(stacked)[0] == cert.dimension
 
 
 def test_dimension_guard():
@@ -474,3 +536,40 @@ def test_orbit_blocks_sum_to_full_dimension(d, n):
             assert block.lower == block.upper == block.dimension == len(block.basis)
             total += block.dimension
     assert total == dimension_w(d, n, config=CFG).dimension
+
+
+@pytest.mark.parametrize("seed", [12345, 3, 5, 8, 9, 10])
+def test_star_blocks_certify_with_the_batch_floor(seed):
+    # one-row blocks: the star vanishes on about half of all tuples, and with
+    # 2 columns a batch and a stop once two batches agreed on the rank, these
+    # seeds left a block inconclusive
+    blocks = block_basis(1, 5, orbit_code="4,0,0,0,0", config=RunConfig(seed=seed))
+    assert [b.status for b in blocks] == ["certified"] * 5
+    assert [b.dimension for b in blocks] == [1] * 5
+
+
+def test_seed_sweep_has_no_inconclusive_certificate():
+    # seeds 0..29, and the seeds where a floor of 1 column a batch leaves one
+    # of these spans inconclusive (10, 31, 55, 61, 74, 75, 85, 88; 31 at 4)
+    spans = [(span_rows(5), 1, 70)]
+    labelled = [(o.tree, o.labels) for o in enumerate_labelled(4, 3, (2, 1, 1))]
+    spans += [(labelled, 1, 13), (labelled, 2, 34)]
+    for seed in [*range(30), 31, 55, 61, 74, 75, 85, 88]:
+        for rows, d, dimension in spans:
+            cert = dimension_certificate(rows, d, RunConfig(seed=seed))
+            assert (seed, cert.status, cert.dimension) == (seed, "certified", dimension)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 6])
+def test_thin_blocks_grow_past_a_stable_rank(seed):
+    # at bound 1 a one-row block vanishes on most tuples; stopping once two
+    # batches agreed on its rank, or a floor of 8 columns, left these seeds
+    # inconclusive
+    cert = dimension_w(1, 5, config=RunConfig(seed=seed, random_bound=1))
+    assert (cert.status, cert.dimension) == ("certified", 70)
+
+
+def test_block_basis_size_guard():
+    for d, n, code in [(3, 7, "1,1,1,1,1,1,0"), (4, 6, "2,1,1,1,0,0"), (1, 6, "5,0,0,0,0,0")]:
+        with pytest.raises(SizeLimitError):
+            block_basis(d, n, orbit_code=code, config=CFG)
