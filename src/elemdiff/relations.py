@@ -179,7 +179,7 @@ def build_matrix(rows: Sequence, d: int, scheme: RandomColumns,
     elif stream.shape != shape:
         raise MismatchError("jet stream drawn for another row shape")
     tuples = stream.prefix(scheme.tuples)
-    data = _column_entries(rows, tuples, n, ell, d, degree)
+    data = _column_entries(rows, tuples, n, d)
     col_index = tuple((t, k) for t in range(len(tuples)) for k in range(1, d + 1))
     return EvalMatrix(rows=rows, d=d, degree=degree, input_count=ell,
                       col_index=col_index, data=data, tuples=tuples)
@@ -205,7 +205,23 @@ def _row_support(tree: Tree, labels, d: int):
         yield js[root], factors
 
 
-def _column_entries(rows, tuples, n, ell, d, degree):
+class _FactorTable(dict):
+    """(label, component, gamma) -> gamma! [x^gamma] f_label(component) on
+    every tuple, computed on first use: the rows of one block read only the
+    gammas their vertices' arities allow."""
+
+    def __init__(self, tuples):
+        super().__init__()
+        self.tuples = tuples
+
+    def __missing__(self, factor):
+        i, j, g = factor
+        w = math.prod(math.factorial(x) for x in g)
+        column = self[factor] = [int(tup[i - 1].coeff(g, j)) * w for tup in self.tuples]
+        return column
+
+
+def _column_entries(rows, tuples, n, d):
     """Value at the origin of every row on every tuple of integer jets, one
     column per output component, in exact Python integers.
 
@@ -214,14 +230,7 @@ def _column_entries(rows, tuples, n, ell, d, degree):
     tuple, and each assignment's product is added to its root component's
     list.
     """
-    gammas = monomials_up_to(d, degree)
-    weight = {g: math.prod(math.factorial(x) for x in g) for g in gammas}
-    table = {}
-    for i in range(1, ell + 1):
-        for j in range(1, d + 1):
-            for g in gammas:
-                w = weight[g]
-                table[(i, j, g)] = [int(tup[i - 1].coeff(g, j)) * w for tup in tuples]
+    table = _FactorTable(tuples)
     data = []
     for row in rows:
         acc = [[0] * len(tuples) for _ in range(d)]
