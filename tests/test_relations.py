@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from elemdiff import (
+    MismatchError,
     PreconditionError,
     RandomColumns,
     RunConfig,
@@ -20,7 +21,6 @@ from elemdiff import (
     eliminate_mod,
     enumerate_multi_indices,
     enumerate_labelled,
-    enumerate_trees,
     monomial_term,
     monomials_up_to,
     nullspace_relations,
@@ -31,7 +31,6 @@ from elemdiff import (
     trace_on_span,
     tree_value_at_zero,
 )
-from elemdiff.errors import MismatchError
 from elemdiff.relations import (
     MAX_ROW_VERTICES,
     PRIME,
