@@ -25,15 +25,15 @@ from .differentials import (corolla_witness_family, eval_multiindex,
 from .relations import (Block, CertifiedRelation, CertifyResult,
                         DimensionCertificate, EvalMatrix, RandomColumns,
                         block_basis, build_matrix, certify_relation,
-                        dimension_certificate, dimension_w, eliminate_mod,
-                        nullspace_relations, rational_reconstruct, span_rows,
-                        trace_on_span)
+                        dimension_certificate, dimension_labelled,
+                        dimension_w, eliminate_mod, nullspace_relations,
+                        rational_reconstruct, span_rows, trace_on_span)
 from .groups import (CharacterRow, ConjugacyClass, ScanReport, SubgroupClass,
                      character_table, conjugacy_classes, constraint_scan,
                      coset_character, point_stabilizer_class,
                      reduced_tree_character, sign_natural_character,
                      subgroup_classes, tree_fixed_character)
 from .labelling import (LabelledObject, canonicalize_labelled,
-                        dimension_labelled, enumerate_labelled, identify)
+                        enumerate_labelled, identify)
 
 __version__ = "0.1.0"

@@ -21,10 +21,10 @@ from .errors import ElemdiffError, PreconditionError, SizeLimitError
 from .groups import (character_table, conjugacy_classes, constraint_scan,
                      subgroup_classes, tree_fixed_character)
 from .jets import Jet
-from .labelling import dimension_labelled, enumerate_labelled
+from .labelling import enumerate_labelled
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .relations import (MAX_ROW_VERTICES, block_basis, certify_relation,
-                        dimension_w)
+                        dimension_labelled, dimension_w)
 from .trees import Tree, enumerate_trees
 
 
@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     d_w = dim.add_parser("w", parents=[common, certifying])
     d_w.add_argument("--dim", type=int, required=True)
     d_w.add_argument("--n", type=int, required=True)
-    d_w.add_argument("--linear", action="store_true")
-    d_w.add_argument("--labels", default=None, help="k1,k2,... colour multiplicities")
+    span = d_w.add_mutually_exclusive_group()
+    span.add_argument("--linear", action="store_true")
+    span.add_argument("--labels", default=None, help="k1,k2,... colour multiplicities")
     d_w.set_defaults(handler=_cmd_dim_w)
 
     ident = sub.add_parser("identity").add_subparsers(dest="sub", required=True)

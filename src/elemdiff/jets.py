@@ -248,7 +248,7 @@ def random_jet(rng, d: int, degree: int, bound: int, ncomps: int | None = None) 
     monos = monomials_up_to(d, degree)
     comps = []
     for _ in range(ncomps):
-        comps.append({alpha: Fraction(rng.randint(-bound, bound)) for alpha in monos})
+        comps.append({alpha: rng.randint(-bound, bound) for alpha in monos})
     return Jet(d, degree, comps)
 
 

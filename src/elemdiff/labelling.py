@@ -12,10 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .config import RunConfig
 from .errors import MismatchError, PreconditionError, SizeLimitError
-from .relations import (DimensionCertificate, _dimension_guard,
-                        dimension_certificate)
 from .trees import (Tree, all_permutations, canonical_code, enumerate_trees,
                     relabel)
 
@@ -135,19 +132,3 @@ def _label_vectors(n, ell, multiplicities):
                 remaining[colour - 1] += 1
 
     yield from rec([], list(multiplicities))
-
-
-def dimension_labelled(d: int, n: int, multiplicities,
-                       config: Optional[RunConfig] = None) -> DimensionCertificate:
-    """Certified dimension of the span of one colour profile's evaluations.
-
-    Each representative is evaluated with vertex v reading input number
-    labels[v-1], so repeated colours mean repeated functions.
-    """
-    config = config or RunConfig()
-    _dimension_guard(d, n)
-    multiplicities = tuple(multiplicities)
-    ell = len(multiplicities)
-    reps = enumerate_labelled(n, ell, multiplicities)
-    rows = [(obj.tree, obj.labels) for obj in reps]
-    return dimension_certificate(rows, d, config)

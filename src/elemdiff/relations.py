@@ -41,8 +41,9 @@ from .differentials import tree_value_at_zero
 from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
 from .jets import monomial_basis_size, monomials_up_to, random_jet_tuple
+from .labelling import enumerate_labelled
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
-from .trees import Tree, Permutation, enumerate_trees, relabel
+from .trees import Tree, Permutation, enumerate_trees, is_linear, relabel
 
 # ---------------------------------------------------------------------------
 # rows: a plain Tree, or (Tree, labels) with labels[v-1] = input slot of v
@@ -568,6 +569,14 @@ class CertifiedRelation:
         }
 
 
+@dataclass(frozen=True)
+class BlockBounds:
+    key: tuple                        # the block's `_block_key`
+    lower: int
+    upper: int
+    pivot_rows: tuple                 # global positions of its pivot rows, ascending
+
+
 @dataclass
 class DimensionCertificate:
     status: str                       # "certified" | "inconclusive"
@@ -583,11 +592,15 @@ class DimensionCertificate:
     scheme: dict
     columns: int                      # d x the jet tuples the widest block read
     row_count: int
-    blocks: int                       # `_block_key` blocks certified one by one
+    block_bounds: tuple               # BlockBounds, blocks in order of first row
 
     @property
     def certified(self) -> bool:
         return self.status == "certified"
+
+    @property
+    def blocks(self) -> int:
+        return len(self.block_bounds)
 
     def to_json_dict(self) -> dict:
         return {
@@ -631,22 +644,23 @@ def dimension_certificate(rows: Sequence, d: int,
     (tuple, component) in every block.  The bounds are the blocks' sums, so
     they meet iff every block's do; pivots and relations keep their global
     row positions, and each pivot's column is its column in its own block.
+    `block_bounds` keeps each block's bounds and pivot rows.
     """
     _check_dimension(d)
     rows = tuple(rows)
     n, ell, _weights = _rows_shape(rows)
     _check_assignments(d, n)
     stream = JetStream(config.seed, ell, d, n - 1, config.random_bound)
-    blocks = _blocks(rows)
-    lower = upper = 0
-    pivots, relations = [], []
-    for positions in blocks.values():
+    bounds, pivots, relations = [], [], []
+    for key, positions in _blocks(rows).items():
         block_lower, block_upper, block_pivots, block_relations = _certify_block(
             rows, positions, d, config, stream)
-        lower += block_lower
-        upper += block_upper
+        bounds.append(BlockBounds(key=key, lower=block_lower, upper=block_upper,
+                                  pivot_rows=tuple(r for r, _ in block_pivots)))
         pivots += block_pivots
         relations += block_relations
+    lower = sum(b.lower for b in bounds)
+    upper = sum(b.upper for b in bounds)
     pivots.sort()
     relations.sort(key=lambda r: r.leading)
     scheme = RandomColumns(tuples=len(stream), seed=config.seed, bound=config.random_bound)
@@ -657,7 +671,7 @@ def dimension_certificate(rows: Sequence, d: int,
         minor_rows=tuple(r for r, _ in pivots), minor_cols=tuple(c for _, c in pivots),
         relations=tuple(relations), prime=PRIME, seed=config.seed,
         scheme=scheme.describe(), columns=len(stream) * d, row_count=len(rows),
-        blocks=len(blocks),
+        block_bounds=tuple(bounds),
     )
 
 
@@ -725,7 +739,6 @@ def _lift_relation(vec_mod_p, p):
 def span_rows(n: int, linear_only: bool = False) -> list:
     trees = enumerate_trees(n)
     if linear_only:
-        from .trees import is_linear
         trees = [t for t in trees if is_linear(t)]
     return trees
 
@@ -743,6 +756,20 @@ def dimension_w(d: int, n: int, linear: bool = False,
     config = config or RunConfig()
     _dimension_guard(d, n)
     return dimension_certificate(span_rows(n, linear_only=linear), d, config)
+
+
+def dimension_labelled(d: int, n: int, multiplicities,
+                       config: Optional[RunConfig] = None) -> DimensionCertificate:
+    """Certified dimension of the span of one colour profile's evaluations.
+
+    Each representative is evaluated with vertex v reading input number
+    labels[v-1], so repeated colours mean repeated functions.
+    """
+    config = config or RunConfig()
+    _dimension_guard(d, n)
+    multiplicities = tuple(multiplicities)
+    reps = enumerate_labelled(n, len(multiplicities), multiplicities)
+    return dimension_certificate([(o.tree, o.labels) for o in reps], d, config)
 
 
 def nullspace_relations(rows: Sequence, d: int, config: RunConfig):
@@ -823,11 +850,11 @@ def trace_on_span(rows: Sequence, sigma: Permutation, d: int,
 @dataclass(frozen=True)
 class Block:
     mi: MultiIndex
-    status: str                 # "certified" | "inconclusive", as its certificate
+    status: str                 # "certified" | "inconclusive": do its bounds meet
     dimension: Optional[int]    # None unless certified
     lower: int
     upper: int
-    basis: tuple                # trees: the certificate's pivot rows
+    basis: tuple                # trees: the block's pivot rows
 
     def to_json_dict(self) -> dict:
         return {
@@ -841,58 +868,36 @@ class Block:
 
 
 # tree size `block_basis` admits: its largest orbit, 2,1,1,0,0 at d = 5
-# (30 blocks of 12 rows), takes 21 s; at n = 6, d = 4 one 60-row block of
-# 2,1,1,1,0,0 takes 3.5 s, and that orbit has 60 of them
+# (30 blocks of 12 rows), takes 7.5 s as a whole run on a 2-CPU host; at
+# n = 6, d = 4 one 60-row block of 2,1,1,1,0,0 takes 3.5 s, and that orbit
+# has 60 of them
 MAX_BLOCK_VERTICES = 5
 
 
-def block_basis(d: int, n: int, orbit_code: Optional[str] = None,
-                mi: Optional[MultiIndex] = None,
+def block_basis(d: int, n: int, orbit_code: str,
                 config: Optional[RunConfig] = None) -> list:
-    """Certified greedy bases of the per-multi-index sub-spans.
+    """Certified greedy bases of the multi-index blocks of one orbit.
 
-    One block per single multi-index; an orbit code groups the blocks of all
-    its relabellings for reporting.  Each block is one dimension certificate
-    over the trees projecting to its multi-index, and its basis is the
-    certificate's pivot rows - the greedy basis in enumeration order.  Each
-    basis element's one-dimensional restriction is pinned against the
-    multi-index evaluation as a check.
+    One dimension certificate over the trees whose arity multi-index lies in
+    the orbit, in enumeration order; its per-block records are the blocks,
+    one per multi-index in `enumerate_multi_indices` order.  A block's basis
+    is its pivot rows - the greedy basis in enumeration order.
     """
     config = config or RunConfig()
-    _check_dimension(d)
-    if (orbit_code is None) == (mi is None):
-        raise PreconditionError("pass exactly one of orbit_code / mi")
     if n > MAX_BLOCK_VERTICES:
         raise SizeLimitError(f"block bases need n <= {MAX_BLOCK_VERTICES}")
-    mis = [mi] if mi is not None else [
-        m for m in enumerate_multi_indices(n) if m.orbit_code() == orbit_code]
+    mis = [m for m in enumerate_multi_indices(n) if m.orbit_code() == orbit_code]
     if not mis:
         raise PreconditionError(f"no multi-index matches orbit {orbit_code!r}")
-    trees = enumerate_trees(n)
-    blocks = _blocks(trees)
+    rows = [t for t in enumerate_trees(n)
+            if project_arities(t).orbit_code() == orbit_code]
+    cert = dimension_certificate(rows, d, config)
+    bounds = {b.key: b for b in cert.block_bounds}
     out = []
     for m in mis:
-        if m not in blocks:
-            raise PreconditionError(f"no tree projects to {m.text()}")
-        rows = [trees[i] for i in blocks[m]]
-        cert = dimension_certificate(rows, d, config)
-        basis = tuple(rows[i] for i in cert.minor_rows)
-        _check_block_restriction(basis, m, config)
-        out.append(Block(mi=m, status=cert.status, dimension=cert.dimension,
-                         lower=cert.lower, upper=cert.upper, basis=basis))
+        b = bounds[m]
+        certified = b.lower == b.upper
+        out.append(Block(mi=m, status="certified" if certified else "inconclusive",
+                         dimension=b.lower if certified else None, lower=b.lower,
+                         upper=b.upper, basis=tuple(rows[i] for i in b.pivot_rows)))
     return out
-
-
-def _check_block_restriction(basis, m, config):
-    """Light faithfulness check of the one-dimensional shadow of each block row."""
-    rng = random.Random(config.seed ^ 0x5B10C)
-    from .jets import random_jet
-    from .differentials import eval_tree, eval_multiindex
-    n = m.n
-    for _ in range(2):
-        tup = [random_jet(rng, 1, n - 1, config.random_bound, ncomps=1) for _ in range(n)]
-        expected = eval_multiindex(m, tup)
-        for t in basis:
-            got = eval_tree(t, tup)
-            if got != expected:
-                raise PreconditionError("block element strayed from its one-dim shadow")

@@ -175,12 +175,15 @@ def test_threads_flag_is_gone(capsys):
     ("dim", "w", "--dim", "1", "--n", "3", "--prime", "5"),
     ("dim", "w", "--dim", "1", "--n", "3", "--column-budget", "10"),
     ("dim", "w", "--dim", "1", "--n", "3", "--format", "json"),  # one format only
+    ("dim", "w", "--dim", "1", "--n", "3", "--linear", "--labels", "3"),  # two spans
 ])
 def test_argv_errors_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert set(json.loads(err)["error"]) == {"type", "message"}
+    error = json.loads(err)["error"]
+    assert set(error) == {"type", "message"}
+    assert error["type"] == "PreconditionError"
 
 
 def test_help_still_exits_zero(capsys):
@@ -315,16 +318,14 @@ def test_block_basis(capsys):
 
 
 def test_block_basis_inconclusive_block_nulls_the_total(capsys, monkeypatch):
-    import dataclasses
     from elemdiff import relations
-    real = relations.dimension_certificate
+    real = relations._certify_block
 
-    def inconclusive(rows, d, config):
-        cert = real(rows, d, config)
-        return dataclasses.replace(cert, status="inconclusive", dimension=None,
-                                   upper=cert.lower + 1)
+    def inconclusive(*args):
+        lower, _upper, pivots, block_relations = real(*args)
+        return lower, lower + 1, pivots, block_relations
 
-    monkeypatch.setattr(relations, "dimension_certificate", inconclusive)
+    monkeypatch.setattr(relations, "_certify_block", inconclusive)
     code, out, _ = run_cli(capsys, "block", "basis", "--dim", "1", "--n", "3",
                            "--mi-orbit", "1,1,0")
     assert code == 0

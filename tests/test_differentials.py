@@ -153,8 +153,7 @@ def test_scalar_eval_factors_through_arities_exhaustive():
 def test_scalar_eval_factors_n5_sampled():
     rng = random.Random(8)
     jets = fixed_scalar_tuple(rng, 5, 6)
-    trees = enumerate_trees(5)
-    for t in rng.sample(trees, 40):
+    for t in enumerate_trees(5):
         assert eval_tree(t, jets) == eval_multiindex(project_arities(t), jets)
 
 

@@ -21,6 +21,7 @@ from elemdiff import (
     eliminate_mod,
     enumerate_multi_indices,
     enumerate_labelled,
+    enumerate_trees,
     monomial_term,
     monomials_up_to,
     nullspace_relations,
@@ -512,17 +513,63 @@ def test_trace_rejects_unstable_span():
 
 def test_block_basis_selector_validation():
     with pytest.raises(PreconditionError):
-        block_basis(2, 3)
-    with pytest.raises(PreconditionError):
-        block_basis(2, 3, orbit_code="x", mi=enumerate_multi_indices(3)[0])
+        block_basis(2, 3, orbit_code="x", config=CFG)
 
 
 def test_single_block_dimensions_d1():
-    for mi in enumerate_multi_indices(3):
-        blocks = block_basis(1, 3, mi=mi, config=CFG)
-        assert len(blocks) == 1
-        assert blocks[0].dimension == 1  # one variable: the arity vector is everything
-        assert len(blocks[0].basis) == 1
+    for code in sorted({mi.orbit_code() for mi in enumerate_multi_indices(3)}):
+        for block in block_basis(1, 3, orbit_code=code, config=CFG):
+            assert block.dimension == 1  # one variable: the arity vector is everything
+            assert len(block.basis) == 1
+
+
+def _per_multi_index_blocks(d, n, code, config):
+    """The route `block_basis` replaced: one certificate per multi-index."""
+    trees = enumerate_trees(n)
+    out = []
+    for mi in enumerate_multi_indices(n):
+        if mi.orbit_code() != code:
+            continue
+        rows = [t for t in trees if project_arities(t) == mi]
+        cert = dimension_certificate(rows, d, config)
+        out.append((mi, cert.status, cert.lower, cert.upper,
+                    tuple(rows[i] for i in cert.minor_rows)))
+    return out
+
+
+def _block_cases():
+    for d, n in [(1, 4), (2, 4), (3, 4)]:
+        for code in sorted({mi.orbit_code() for mi in enumerate_multi_indices(n)}):
+            yield d, n, code
+    for d in (1, 2):
+        for code in ("2,1,1,0,0", "4,0,0,0,0"):
+            yield d, 5, code
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("d,n,code", list(_block_cases()),
+                         ids=lambda v: v if isinstance(v, str) else str(v))
+def test_block_basis_matches_one_certificate_per_multi_index(d, n, code, seed):
+    config = RunConfig(seed=seed)
+    got = [(b.mi, b.status, b.lower, b.upper, b.basis)
+           for b in block_basis(d, n, orbit_code=code, config=config)]
+    assert got == _per_multi_index_blocks(d, n, code, config)
+
+
+def test_block_basis_makes_one_certificate(monkeypatch):
+    from elemdiff import relations
+    calls = []
+    real = relations.dimension_certificate
+
+    def counted(rows, d, config):
+        calls.append(len(rows))
+        return real(rows, d, config)
+
+    monkeypatch.setattr(relations, "dimension_certificate", counted)
+    blocks = block_basis(2, 4, orbit_code="2,1,0,0", config=CFG)
+    assert len(blocks) == 12
+    assert calls == [sum(1 for t in enumerate_trees(4)
+                         if project_arities(t).orbit_code() == "2,1,0,0")]
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (1, 4), (2, 4), (3, 4)],
