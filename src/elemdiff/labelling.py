@@ -9,14 +9,18 @@ is equality of representatives.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
-from .trees import (Tree, all_permutations, canonical_code, enumerate_trees,
-                    relabel)
+from .trees import ROOT, Tree, canonical_code, enumerate_trees
 
 MAX_CANON_VERTICES = 6
+# (root-1 tree, label vector) pairs one `enumerate_labelled` walk may visit.
+# It admits every colour profile at n <= 6; the costliest admitted walk,
+# `1,1,1,1,1,1` at n = 6 (933,120 pairs), takes 11 s on a 2-CPU host.
+MAX_WALK_PAIRS = 10**6
 
 
 @dataclass(frozen=True)
@@ -58,18 +62,17 @@ def canonicalize_labelled(base: Tree, labels) -> LabelledObject:
         raise PreconditionError("canonicalization needs vertex set {1..n}")
     if n > MAX_CANON_VERTICES:
         raise SizeLimitError(f"orbit minimum is explicit, n <= {MAX_CANON_VERTICES}")
-    best_key = None
-    best = None
-    for sigma in all_permutations(n):
-        t2 = relabel(base, sigma)
-        lab2 = [0] * n
-        for v in range(1, n + 1):
-            lab2[sigma(v) - 1] = labels[v - 1]
-        key = (t2.entries, tuple(lab2))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (t2, tuple(lab2))
-    return LabelledObject(best[0], best[1])
+
+    def moved(sigma):  # vertex v renamed sigma[v-1], colours carried along
+        entries = tuple(sorted((sigma[v - 1], ROOT if p == ROOT else sigma[p - 1])
+                               for v, p in base.entries))
+        colours = [0] * n
+        for v, colour in enumerate(labels):
+            colours[sigma[v] - 1] = colour
+        return entries, tuple(colours)
+
+    entries, colours = min(map(moved, itertools.permutations(range(1, n + 1))))
+    return LabelledObject(Tree(entries), colours)
 
 
 def identify(phi, obj: LabelledObject) -> LabelledObject:
@@ -89,46 +92,41 @@ def identify(phi, obj: LabelledObject) -> LabelledObject:
 
 def enumerate_labelled(n: int, ell: int,
                        multiplicities: Optional[tuple] = None) -> list:
-    """All orbits of (tree, labels in [ell]^n), optionally of one colour profile.
+    """All orbits of (tree, labels in [ell]^n), optionally of one colour
+    profile, each as its lex-min member in (entries, labels), ascending.
 
-    Pairs are grouped by their coloured `canonical_code`, and only the first
-    pair of each orbit pays the S_n search for its lex-min representative.
+    Every orbit has members rooted at 1, and they sort below all others.
+    The walk pairs those trees, parent lists ascending, with the label
+    vectors, ascending, so its first pair of each coloured `canonical_code`
+    is that orbit's lex-min member.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
     if ell < 1:
         raise PreconditionError("need at least one colour")
-    if multiplicities is not None:
+    if n > MAX_CANON_VERTICES:
+        raise SizeLimitError(f"labelled orbits are enumerated for n <= {MAX_CANON_VERTICES}")
+    if multiplicities is None:
+        colours = range(1, ell + 1)
+        vector_count = ell ** n
+    else:
         multiplicities = tuple(multiplicities)
         if len(multiplicities) != ell or any(k < 0 for k in multiplicities):
             raise PreconditionError("profile must list one count per colour")
         if sum(multiplicities) != n:
             raise MismatchError("colour counts must sum to the vertex count")
-    if n > MAX_CANON_VERTICES:
-        raise SizeLimitError(f"orbit minimum is explicit, n <= {MAX_CANON_VERTICES}")
+        colours = [c for c, k in enumerate(multiplicities, start=1) if k]
+        vector_count = math.factorial(n) // math.prod(map(math.factorial, multiplicities))
+    pairs = n ** (n - 1) // n * vector_count  # root-1 trees times label vectors
+    if pairs > MAX_WALK_PAIRS:
+        raise SizeLimitError(f"walk of {pairs} (tree, labels) pairs exceeds {MAX_WALK_PAIRS}")
+    vectors = [labels for labels in itertools.product(colours, repeat=n)
+               if multiplicities is None
+               or all(labels.count(c) == multiplicities[c - 1] for c in colours)]
     orbits = {}
-    for tree in enumerate_trees(n):
-        for labels in _label_vectors(n, ell, multiplicities):
-            orbits.setdefault(canonical_code(tree, labels), (tree, labels))
-    out = [canonicalize_labelled(tree, labels) for tree, labels in orbits.values()]
-    out.sort(key=lambda o: (o.tree.entries, o.labels))
-    return out
-
-
-def _label_vectors(n, ell, multiplicities):
-    if multiplicities is None:
-        yield from itertools.product(range(1, ell + 1), repeat=n)
-        return
-
-    def rec(prefix, remaining):
-        i = len(prefix)
-        if i == n:
-            yield tuple(prefix)
-            return
-        for colour in range(1, ell + 1):
-            if remaining[colour - 1]:
-                remaining[colour - 1] -= 1
-                yield from rec(prefix + [colour], remaining)
-                remaining[colour - 1] += 1
-
-    yield from rec([], list(multiplicities))
+    for tree in itertools.takewhile(lambda t: t.root == 1, enumerate_trees(n)):
+        for labels in vectors:
+            code = canonical_code(tree, labels)
+            if code not in orbits:
+                orbits[code] = LabelledObject(tree, labels)
+    return list(orbits.values())

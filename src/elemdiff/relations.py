@@ -124,6 +124,7 @@ class JetStream:
     same tuple behind the same column."""
 
     def __init__(self, seed: int, ell: int, d: int, degree: int, bound: int):
+        self.seed = seed
         self.shape = (ell, d, degree, bound)
         self._rng = random.Random(seed)
         self._drawn = []
@@ -177,8 +178,8 @@ def build_matrix(rows: Sequence, d: int, scheme: RandomColumns,
     shape = (ell, d, degree, scheme.bound)
     if stream is None:
         stream = JetStream(scheme.seed, *shape)
-    elif stream.shape != shape:
-        raise MismatchError("jet stream drawn for another row shape")
+    elif (stream.seed, stream.shape) != (scheme.seed, shape):
+        raise MismatchError("jet stream drawn for another seed or row shape")
     tuples = stream.prefix(scheme.tuples)
     data = _column_entries(rows, tuples, n, d)
     col_index = tuple((t, k) for t in range(len(tuples)) for k in range(1, d + 1))

@@ -183,7 +183,7 @@ class Tree:
 
 
 def enumerate_trees(n: int) -> list[Tree]:
-    """All rooted trees on vertex set {1..n}; there are n^(n-1) of them."""
+    """All n^(n-1) rooted trees on {1..n}, roots ascending, then parent lists ascending."""
     if n < 1:
         raise PreconditionError("need n >= 1")
     if n > MAX_ENUM_VERTICES:

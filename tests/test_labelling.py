@@ -12,6 +12,7 @@ from elemdiff import (
     SizeLimitError,
     Tree,
     all_permutations,
+    canonical_code,
     canonicalize_labelled,
     chain_tree,
     dimension_labelled,
@@ -116,6 +117,41 @@ def test_enumeration_matches_brute_force_lex_min():
     assert len(enumerate_labelled(5, 2, (4, 1))) == 35
     with pytest.raises(SizeLimitError):
         enumerate_labelled(7, 1, (7,))
+
+
+@pytest.mark.parametrize("profile", [*_compositions_of(5), (6,), (3, 3)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_enumeration_past_n4_is_canonical_distinct_and_sorted(profile):
+    # the S_n search fixes every representative, and no two share an orbit
+    got = enumerate_labelled(sum(profile), len(profile), profile)
+    for o in got:
+        assert canonicalize_labelled(o.tree, o.labels) == o
+    codes = {canonical_code(o.tree, o.labels) for o in got}
+    assert len(codes) == len(got)
+    assert got == sorted(got, key=lambda o: (o.tree.entries, o.labels))
+    if sum(profile) == 6:
+        assert len(got) == {(6,): 20, (3, 3): 268}[profile]
+
+
+def test_trees_come_root_first_then_by_parent_list():
+    # the walk's premise: the root-1 trees lead, parent lists ascending
+    for n in range(1, 7):
+        trees = enumerate_trees(n)
+        assert trees == sorted(trees, key=lambda t: (t.root, t.parent_list()))
+        lead = n ** (n - 1) // n
+        assert all(t.root == 1 for t in trees[:lead])
+        assert all(t.root != 1 for t in trees[lead:])
+
+
+def test_walk_budget_refuses_before_enumerating(monkeypatch):
+    from elemdiff import labelling
+
+    def fail(n):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(labelling, "enumerate_trees", fail)
+    with pytest.raises(SizeLimitError):
+        enumerate_labelled(6, 4)
 
 
 def test_enumeration_validation():

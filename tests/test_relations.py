@@ -89,7 +89,7 @@ def test_batched_and_exact_entry_paths_agree():
 
 def test_build_matrix_reads_a_shared_stream():
     # matrices on one stream share their first columns; a stream drawn for
-    # another row shape is refused
+    # another row shape or seed is refused
     rows = span_rows(3)
     stream = JetStream(5, 3, 2, 2, 3)
     long = build_matrix(rows, 2, RandomColumns(tuples=7, seed=5), stream)
@@ -98,6 +98,8 @@ def test_build_matrix_reads_a_shared_stream():
     assert long.data == build_matrix(rows, 2, RandomColumns(tuples=7, seed=5)).data
     with pytest.raises(MismatchError):
         build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=5), stream)
+    with pytest.raises(MismatchError):
+        build_matrix(rows, 2, RandomColumns(tuples=4, seed=9), stream)
 
 
 def test_build_matrix_respects_budget():
