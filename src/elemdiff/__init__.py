@@ -23,7 +23,7 @@ from .differentials import (corolla_witness_family, eval_multiindex,
                             standard_identity_tree_terms, tree_polynomial,
                             tree_value_at_zero)
 from .relations import (Block, CertifiedRelation, CertifyResult,
-                        DimensionCertificate, EvalMatrix, RandomColumns,
+                        DimensionCertificate, EvalMatrix, JetStream,
                         block_basis, build_matrix, certify_relation,
                         dimension_certificate, dimension_labelled,
                         dimension_w, eliminate_mod, nullspace_relations,

@@ -164,9 +164,8 @@ def reduced_tree_character(d: int = 2) -> CharacterRow:
 def character_table(n: int = 5) -> list:
     if n % 2 == 0 or n < 1:
         raise PreconditionError("the table lives on an odd number of points")
-    d = (n - 1) // 2
-    return [tree_fixed_character(n), sign_natural_character(d),
-            reduced_tree_character(d)]
+    tree, sign = tree_fixed_character(n), sign_natural_character((n - 1) // 2)
+    return [tree, sign, tree.minus(sign, "reduced_difference")]
 
 
 # ---------------------------------------------------------------------------
@@ -289,26 +288,16 @@ def point_stabilizer_class(n: int) -> SubgroupClass:
 # coset characters and the constraint scan
 
 def coset_character(sub: SubgroupClass, n: int | None = None) -> CharacterRow:
-    """Fixed cosets of each class representative acting by left translation."""
+    """Fixed cosets of each class representative acting by left translation:
+    the induced character, n! #{h in sub of type c} / (|c| |sub|) on class c,
+    read off the subgroup's cycle profile."""
     degree = next(iter(sub.elements)).degree
     if n is not None and n != degree:
         raise MismatchError(f"subgroup lives in degree {degree}, not {n}")
     n = degree
-    group = all_permutations(n)
-    in_sub = sub.elements
-    reps = []
-    covered = set()
-    for x in group:
-        if x not in covered:
-            reps.append(x)
-            for h in in_sub:
-                covered.add(x.compose(h))
-    vals = []
-    for cc in conjugacy_classes(n):
-        g = cc.representative
-        vals.append(sum(1 for x in reps
-                        if x.inverse().compose(g).compose(x) in in_sub))
-    return CharacterRow(n, f"cosets_mod_{sub.label}", tuple(vals))
+    vals = tuple(math.factorial(n) * sub.cycle_profile.count(cc.partition)
+                 // (cc.size * sub.order) for cc in conjugacy_classes(n))
+    return CharacterRow(n, f"cosets_mod_{sub.label}", vals)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
-from .trees import ROOT, Tree, canonical_code, enumerate_trees
+from .trees import ROOT, Tree, _trees_rooted_at, canonical_code
 
 MAX_CANON_VERTICES = 6
 # (root-1 tree, label vector) pairs one `enumerate_labelled` walk may visit.
@@ -124,7 +124,7 @@ def enumerate_labelled(n: int, ell: int,
                if multiplicities is None
                or all(labels.count(c) == multiplicities[c - 1] for c in colours)]
     orbits = {}
-    for tree in itertools.takewhile(lambda t: t.root == 1, enumerate_trees(n)):
+    for tree in _trees_rooted_at(n, 1):
         for labels in vectors:
             code = canonical_code(tree, labels)
             if code not in orbits:

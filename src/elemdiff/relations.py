@@ -16,13 +16,13 @@ Soundness layout:
 
 Block lemma: the monomial of a component assignment js names, for each
 input, the multiset of (gamma_v, js_v) over the vertices v reading it, and
-|gamma_v| is v's arity.  So rows with different `_block_key`s (the arity
-multi-index of a plain row; per colour, the sorted vertex arities of a
-labelled one) have disjoint layer-vector supports.  The span is the direct
-sum of its blocks: ranks add, every relation splits into one relation per
-block, and a row is independent of the rows before it iff it is so within
-its block.  `dimension_certificate` therefore certifies block by block and
-adds the bounds.
+|gamma_v| is v's arity.  So rows with different `_block_key`s (per colour,
+the sorted arities of its vertices; a plain tree is the row whose n
+vertices read n distinct colours) have disjoint layer-vector supports.  The
+span is the direct sum of its blocks: ranks add, every relation splits into
+one relation per block, and a row is independent of the rows before it iff
+it is so within its block.  `dimension_certificate` therefore certifies
+block by block and adds the bounds.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .config import RunConfig
+from .config import DEFAULT_RANDOM_BOUND, RunConfig
 from .differentials import tree_value_at_zero
 from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
@@ -46,53 +46,38 @@ from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .trees import Tree, Permutation, enumerate_trees, is_linear, relabel
 
 # ---------------------------------------------------------------------------
-# rows: a plain Tree, or (Tree, labels) with labels[v-1] = input slot of v
+# rows: (Tree, labels) with labels[v-1] = the input slot vertex v reads
 
 
-def _row_tree(row) -> Tree:
-    return row[0] if isinstance(row, tuple) else row
-
-
-def _row_labels(row, n: int) -> tuple[int, ...]:
-    if isinstance(row, tuple):
-        return tuple(row[1])
-    return tuple(range(1, n + 1))
+def _labelled(row) -> tuple:
+    """The row as a (tree, labels) pair: a plain tree reads labels 1..n."""
+    return row if isinstance(row, tuple) else (row, tuple(range(1, row.size + 1)))
 
 
 def _rows_shape(rows):
-    """(n, input_count, weights) shared by all rows; raises on mixtures."""
+    """(n, input_count, weights) shared by all (tree, labels) rows; raises on
+    mixtures."""
     if not rows:
         raise PreconditionError("need at least one row")
-    n = _row_tree(rows[0]).size
-    labelled = isinstance(rows[0], tuple)
-    if labelled:
-        ell = max(max(row[1]) for row in rows)
-        profile = None
-        for row in rows:
-            tree, labels = row
-            if tree.size != n or len(labels) != n:
-                raise MismatchError("rows must share one arity")
-            counts = tuple(list(labels).count(i) for i in range(1, ell + 1))
-            if profile is None:
-                profile = counts
-            elif counts != profile:
-                raise MismatchError("labelled rows must share one multiplicity profile")
-        return n, ell, profile
-    for row in rows:
-        if row.size != n:
+    n = rows[0][0].size
+    colours = sorted(rows[0][1])
+    for tree, labels in rows:
+        if tree.size != n or len(labels) != n:
             raise MismatchError("rows must share one arity")
-    return n, n, tuple([1] * n)
+        if sorted(labels) != colours:
+            raise MismatchError("labelled rows must share one multiplicity profile")
+    ell = colours[-1]
+    return n, ell, tuple(colours.count(i) for i in range(1, ell + 1))
 
 
 def _block_key(row):
-    """The row's block: its arity multi-index, or for a labelled row, per
-    colour, the sorted arities of the vertices of that colour."""
-    arities = project_arities(_row_tree(row))
-    if not isinstance(row, tuple):
-        return arities
-    labels = row[1]
-    return tuple(tuple(sorted(a for a, c in zip(arities.arities, labels) if c == colour))
-                 for colour in range(1, max(labels) + 1))
+    """The row's block: per colour, the sorted arities of the vertices of
+    that colour; ((a_1,), ..., (a_n,)) for a plain row of arities a."""
+    tree, labels = row
+    by_colour = [[] for _ in range(max(labels))]
+    for a, c in zip(project_arities(tree).arities, labels):
+        by_colour[c - 1].append(a)
+    return tuple(tuple(sorted(arities)) for arities in by_colour)
 
 
 def _blocks(rows) -> dict:
@@ -104,28 +89,20 @@ def _blocks(rows) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# column schemes and the evaluation matrix
-
-@dataclass(frozen=True)
-class RandomColumns:
-    tuples: int
-    seed: int
-    bound: int = 3
-
-    def describe(self) -> dict:
-        return {"scheme": "randomColumns", "tuples": self.tuples,
-                "seed": self.seed, "bound": self.bound}
-
+# the column source and the evaluation matrix
 
 class JetStream:
-    """Random integer jet tuples of one shape, drawn in order from one
-    `random.Random(seed)`.  `prefix(t)` draws only the tuples it lacks, and
-    drawing is sequential, so every matrix built on one stream reads the
-    same tuple behind the same column."""
+    """Random integer jet tuples, coefficients in [-bound, bound], drawn in
+    order from one `random.Random(seed)`: the only holder of a certificate's
+    seed and bound.  The first draw fixes the tuples' shape (inputs, d,
+    degree).  `prefix(t, shape)` draws only the tuples it lacks, and drawing
+    is sequential, so every matrix built on one stream reads the same tuple
+    behind the same column."""
 
-    def __init__(self, seed: int, ell: int, d: int, degree: int, bound: int):
+    def __init__(self, seed: int, bound: int = DEFAULT_RANDOM_BOUND):
         self.seed = seed
-        self.shape = (ell, d, degree, bound)
+        self.bound = bound
+        self.shape = None
         self._rng = random.Random(seed)
         self._drawn = []
 
@@ -133,58 +110,49 @@ class JetStream:
         """Tuples drawn so far: the longest prefix any matrix has read."""
         return len(self._drawn)
 
-    def prefix(self, t: int) -> tuple:
+    def prefix(self, t: int, shape: tuple) -> tuple:
+        if self.shape is None:
+            self.shape = shape
+        elif shape != self.shape:
+            raise MismatchError("jet stream drawn for another row shape")
         while len(self._drawn) < t:
-            self._drawn.append(random_jet_tuple(self._rng, *self.shape))
+            self._drawn.append(random_jet_tuple(self._rng, *shape, self.bound))
         return tuple(self._drawn[:t])
+
+    def describe(self) -> dict:
+        """The certificate's `scheme`: the tuples drawn so far, seed and bound."""
+        return {"scheme": "randomColumns", "tuples": len(self),
+                "seed": self.seed, "bound": self.bound}
 
 
 @dataclass
 class EvalMatrix:
-    rows: tuple
+    rows: tuple       # (tree, labels) pairs
     d: int
-    degree: int
-    input_count: int
-    col_index: tuple  # (tuple position, output component)
-    data: list        # list of integer row vectors
+    data: list        # integer row vectors: column c is tuple c // d, component c % d + 1
     tuples: tuple     # the jet tuples behind the columns
 
     @property
     def ncols(self) -> int:
-        return len(self.col_index)
+        return len(self.tuples) * self.d
 
     def check_entry(self, r: int, c: int) -> bool:
         """Recompute one entry from scratch (spot-check hook)."""
-        t, comp = self.col_index[c]
-        row = self.rows[r]
-        tree = _row_tree(row)
-        labels = _row_labels(row, tree.size)
+        t, k = divmod(c, self.d)
+        tree, labels = self.rows[r]
         jets = {v: self.tuples[t][labels[v - 1] - 1] for v in tree.vertices}
-        value = tree_value_at_zero(tree, jets)[comp - 1]
-        return value == self.data[r][c]
+        return tree_value_at_zero(tree, jets)[k] == self.data[r][c]
 
 
-def build_matrix(rows: Sequence, d: int, scheme: RandomColumns,
-                 stream: Optional[JetStream] = None) -> EvalMatrix:
-    """Evaluate every row on the first `scheme.tuples` tuples of `stream`
-    (a fresh stream of the scheme's seed and bound when None), reading
-    values at the origin."""
-    rows = tuple(rows)
+def build_matrix(rows: Sequence, d: int, stream: JetStream, tuples: int) -> EvalMatrix:
+    """Evaluate every row on the first `tuples` jet tuples of `stream`,
+    reading values at the origin."""
+    rows = tuple(_labelled(row) for row in rows)
     n, ell, _weights = _rows_shape(rows)
-    degree = n - 1
-    if scheme.tuples * d > MAX_COLUMNS:
-        raise SizeLimitError(
-            f"{scheme.tuples * d} columns exceed the budget {MAX_COLUMNS}")
-    shape = (ell, d, degree, scheme.bound)
-    if stream is None:
-        stream = JetStream(scheme.seed, *shape)
-    elif (stream.seed, stream.shape) != (scheme.seed, shape):
-        raise MismatchError("jet stream drawn for another seed or row shape")
-    tuples = stream.prefix(scheme.tuples)
-    data = _column_entries(rows, tuples, n, d)
-    col_index = tuple((t, k) for t in range(len(tuples)) for k in range(1, d + 1))
-    return EvalMatrix(rows=rows, d=d, degree=degree, input_count=ell,
-                      col_index=col_index, data=data, tuples=tuples)
+    if tuples * d > MAX_COLUMNS:
+        raise SizeLimitError(f"{tuples * d} columns exceed the budget {MAX_COLUMNS}")
+    jets = stream.prefix(tuples, (ell, d, n - 1))
+    return EvalMatrix(rows=rows, d=d, data=_column_entries(rows, jets, d), tuples=jets)
 
 
 def _row_support(tree: Tree, labels, d: int):
@@ -223,7 +191,7 @@ class _FactorTable(dict):
         return column
 
 
-def _column_entries(rows, tuples, n, d):
+def _column_entries(rows, tuples, d):
     """Value at the origin of every row on every tuple of integer jets, one
     column per output component, in exact Python integers.
 
@@ -236,7 +204,7 @@ def _column_entries(rows, tuples, n, d):
     data = []
     for row in rows:
         acc = [[0] * len(tuples) for _ in range(d)]
-        for root, factors in _row_support(_row_tree(row), _row_labels(row, n), d):
+        for root, factors in _row_support(*row, d):
             prod = table[factors[0]]
             for factor in factors[1:]:
                 prod = map(operator.mul, prod, table[factor])
@@ -436,34 +404,12 @@ class CertifyResult:
     tuples_skipped_off_layer: int
 
 
-def _layer_tuples(d: int, slots: int, weights, total: int):
-    """Monomial tuples of total degree `total` (off it every row vanishes at
-    the origin) in witness order: lexicographic in the items (alpha,
-    component), ordered by degree, then alpha, then component.  Slot i of
-    weight m takes a multiset of m items, nondecreasing.  The reference walk
-    that `_layer_ranks` counts without walking."""
-    items = [(alpha, k) for alpha in monomials_up_to(d, total) for k in range(1, d + 1)]
-    spend = [sum(alpha) for alpha, _ in items]
-    owner = [i for i in range(slots) for _ in range(weights[i])]
-
-    def rec(p, first, remaining):
-        if p == len(owner):
-            if remaining == 0:
-                yield ()
-            return
-        lo = first if p and owner[p] == owner[p - 1] else 0
-        for idx in range(lo, len(items)):
-            if spend[idx] > remaining:
-                break
-            for rest in rec(p + 1, idx, remaining - spend[idx]):
-                yield (items[idx],) + rest
-
-    yield from rec(0, 0, total)
-
-
 def _layer_ranks(d: int, weights, total: int):
-    """(size, rank): how many tuples `_layer_tuples(d, len(weights), weights,
-    total)` yields, and the 1-based position of one of them.  tables[p][s][b]
+    """(size, rank): how many monomial tuples of total degree `total` there
+    are (off it every row vanishes at the origin), and the 1-based position
+    of one of them in witness order: lexicographic in the items (alpha,
+    component), ordered by degree, then alpha, then component, where slot i
+    of weight m takes a nondecreasing multiset of m items.  tables[p][s][b]
     counts the ways to finish a tuple from flat position p with degree b
     left and an item index of at least s there: a suffix sum over p + 1."""
     items = [(alpha, k) for alpha in monomials_up_to(d, total) for k in range(1, d + 1)]
@@ -489,7 +435,7 @@ def _layer_ranks(d: int, weights, total: int):
     return tables[0][0][total], rank
 
 
-def _layer_vector(terms, n: int, d: int) -> dict:
+def _layer_vector(terms, d: int) -> dict:
     """Nonzero coefficients of the combination's value at the origin as a
     polynomial in the inputs' jet coefficients, keyed (output component,
     layer tuple): each support assignment reads [x^gamma] of component js
@@ -497,7 +443,7 @@ def _layer_vector(terms, n: int, d: int) -> dict:
     item order, are a layer tuple."""
     vec = {}
     for coeff, row in terms:
-        for root, factors in _row_support(_row_tree(row), _row_labels(row, n), d):
+        for root, factors in _row_support(*_labelled(row), d):
             weight = math.prod(math.factorial(g) for _, _, gamma in factors for g in gamma)
             factors.sort(key=lambda f: (f[0], sum(f[2]), f[2], f[1]))
             key = (root, tuple((gamma, j) for _, j, gamma in factors))
@@ -510,18 +456,18 @@ def certify_relation(terms, d: int) -> CertifyResult:
 
     Exact for every row shape: it holds iff every coefficient of its
     `_layer_vector` vanishes.  The witness is the first nonzero layer tuple
-    in `_layer_tuples` order, with the least output component nonzero there;
-    when every input feeds one vertex, it is a monomial input tuple and the
-    coefficient is the combination's value on it at the origin.
+    in `_layer_ranks`' witness order, with the least output component
+    nonzero there; when every input feeds one vertex, it is a monomial input
+    tuple and the coefficient is the combination's value on it at the origin.
     `tuples_checked` is its 1-based position, or the layer size when the
     relation holds.
     """
     _check_dimension(d)
-    terms = [(Fraction(c), row) for c, row in terms]
+    terms = [(Fraction(c), _labelled(row)) for c, row in terms]
     n, _, weights = _rows_shape([row for _, row in terms])
     _check_assignments(d, n)
     size, rank = _layer_ranks(d, weights, n - 1)
-    vec = _layer_vector(terms, n, d)
+    vec = _layer_vector(terms, d)
     if not vec:
         items = monomial_basis_size(d, n - 1)
         tuples = math.prod(math.comb(items + m - 1, m) for m in weights)
@@ -648,14 +594,14 @@ def dimension_certificate(rows: Sequence, d: int,
     `block_bounds` keeps each block's bounds and pivot rows.
     """
     _check_dimension(d)
-    rows = tuple(rows)
-    n, ell, _weights = _rows_shape(rows)
+    rows = tuple(_labelled(row) for row in rows)
+    n, _, _ = _rows_shape(rows)
     _check_assignments(d, n)
-    stream = JetStream(config.seed, ell, d, n - 1, config.random_bound)
+    stream = JetStream(config.seed, config.random_bound)
     bounds, pivots, relations = [], [], []
     for key, positions in _blocks(rows).items():
         block_lower, block_upper, block_pivots, block_relations = _certify_block(
-            rows, positions, d, config, stream)
+            rows, positions, d, stream)
         bounds.append(BlockBounds(key=key, lower=block_lower, upper=block_upper,
                                   pivot_rows=tuple(r for r, _ in block_pivots)))
         pivots += block_pivots
@@ -664,19 +610,18 @@ def dimension_certificate(rows: Sequence, d: int,
     upper = sum(b.upper for b in bounds)
     pivots.sort()
     relations.sort(key=lambda r: r.leading)
-    scheme = RandomColumns(tuples=len(stream), seed=config.seed, bound=config.random_bound)
     return DimensionCertificate(
         status="certified" if lower == upper else "inconclusive",
         dimension=lower if lower == upper else None,
         lower=lower, upper=upper, rank=lower,
         minor_rows=tuple(r for r, _ in pivots), minor_cols=tuple(c for _, c in pivots),
-        relations=tuple(relations), prime=PRIME, seed=config.seed,
-        scheme=scheme.describe(), columns=len(stream) * d, row_count=len(rows),
+        relations=tuple(relations), prime=PRIME, seed=stream.seed,
+        scheme=stream.describe(), columns=len(stream) * d, row_count=len(rows),
         block_bounds=tuple(bounds),
     )
 
 
-def _certify_block(rows, positions, d, config, stream):
+def _certify_block(rows, positions, d, stream):
     """(lower, upper, pivots, relations) of the block of `rows` at
     `positions`, with pivots as (row position, column) pairs.
 
@@ -698,9 +643,7 @@ def _certify_block(rows, positions, d, config, stream):
         if want <= total_tuples:
             break
         total_tuples = want
-        scheme = RandomColumns(tuples=total_tuples, seed=config.seed,
-                               bound=config.random_bound)
-        data = build_matrix(block, d, scheme, stream).data
+        data = build_matrix(block, d, stream, total_tuples).data
         elim = eliminate_mod(data, PRIME)
         if not minor_is_nonsingular_mod(data, elim.pivot_rows, elim.pivot_cols, PRIME):
             raise PreconditionError("pivot minor failed its own recheck")
@@ -896,7 +839,7 @@ def block_basis(d: int, n: int, orbit_code: str,
     bounds = {b.key: b for b in cert.block_bounds}
     out = []
     for m in mis:
-        b = bounds[m]
+        b = bounds[tuple((a,) for a in m.arities)]
         certified = b.lower == b.upper
         out.append(Block(mi=m, status="certified" if certified else "inconclusive",
                          dimension=b.lower if certified else None, lower=b.lower,

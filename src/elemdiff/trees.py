@@ -188,16 +188,17 @@ def enumerate_trees(n: int) -> list[Tree]:
         raise PreconditionError("need n >= 1")
     if n > MAX_ENUM_VERTICES:
         raise SizeLimitError(f"n={n} exceeds the enumeration guard ({MAX_ENUM_VERTICES})")
-    verts = list(range(1, n + 1))
-    out = []
-    for root in verts:
-        others = [v for v in verts if v != root]
-        for parents in itertools.product(verts, repeat=n - 1):
-            pmap = dict(zip(others, parents))
-            pmap[root] = ROOT
-            if _reaches_root(pmap):
-                out.append(Tree.from_parent_map(pmap))
-    return out
+    return [tree for root in range(1, n + 1) for tree in _trees_rooted_at(n, root)]
+
+
+def _trees_rooted_at(n: int, root: int):
+    """The n^(n-2) rooted trees on {1..n} with this root, parent lists ascending."""
+    others = [v for v in range(1, n + 1) if v != root]
+    for parents in itertools.product(range(1, n + 1), repeat=n - 1):
+        pmap = dict(zip(others, parents))
+        pmap[root] = ROOT
+        if _reaches_root(pmap):
+            yield Tree.from_parent_map(pmap)
 
 
 def relabel(tree: Tree, sigma: Permutation) -> Tree:

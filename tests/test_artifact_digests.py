@@ -1,0 +1,55 @@
+"""Byte identity of the command line's artifacts.
+
+The benchmark's operations and the paper's two headline runs (620 and 115),
+each at `--seed 1`, pinned by the sha256 of the artifact they print.  A
+change that alters any byte of these artifacts fails here and has to say
+which field changed and why.
+"""
+
+import hashlib
+
+import pytest
+
+from elemdiff.cli import main
+
+PINNED = (
+    ("dim w --dim 2 --n 4",
+     "f3cb7f18c57635714f343905994c3e8409ad6456bcc7a9f4f4160124ce3125aa"),
+    ("dim w --dim 3 --n 4",
+     "f283119b221d40b2f7cba5d8d2fb135f635e395142668ff8d302d93a85228f2f"),
+    ("dim w --dim 2 --n 4 --linear",
+     "3ebc2443130e6bdf2a0a1982a3c2fe89a2f9bb38aeed68a1ad925960ef7d7f3c"),
+    ("dim w --dim 3 --n 4 --linear",
+     "70b22c6ed0c6e1b1fe50b7c01a73a35f1f439449988e932e3d3647676bbb9fb9"),
+    ("dim w --dim 1 --n 5",
+     "ead9f343784f313a7770667b4291366a90b24f6531b10c99ccac88e39d94bdfd"),
+    ("identity s2d --dim 2",
+     "54acf884cbe7ce2004f5333c7456d2b536b1c128d10b24928565f52d74d050f4"),
+    ("identity s2d --dim 1 --check-dim 3",
+     "1b30d1f15d3e31580d9dfecd931eb400b42d2f3c25c4b63df81a26e227a00ce4"),
+    ("identity s2d --dim 1 --check-dim 2",
+     "70cf99b32c06fef29a195ae1d872f503cf454064a36a96acdd12901d5f2489b1"),
+    ("dim w --dim 2 --n 4 --labels 2,1,1",
+     "0b1180f625529dbe26b7e3212c2dbe4e98465ccd43946ebcf11d46541a790160"),
+    ("dim w --dim 1 --n 4 --labels 2,1,1",
+     "12edd5ffcf781a9d45dca89879b952fa004ea3e6e00f7893c9b231adc1868964"),
+    ("trees canon --n 5",
+     "9adfc9661e357f649201c83d6f3d2780b39eeee95b7a41c8a5b26773f146ef95"),
+    ("groups scan",
+     "0350673081e99a495270ddefafe754026af0ac72138c9fe60e7fb5944862c7db"),
+    ("char table",
+     "d9ec5626c95295923433eb631732b0d976ec54e813c6658c9364d6152c9c56ff"),
+    ("block basis --dim 2 --n 5 --mi-orbit 2,1,1,0,0",
+     "f0e4d00efdf7ba7e916c03280b5a779963a39aa13ebc0d25ec92b1eb843948c3"),
+    ("dim w --dim 2 --n 5",
+     "69730d264040d6b941b6e2eaa2131f64128883a78df4af75c4087a83703e7ca3"),
+    ("dim w --dim 2 --n 5 --linear",
+     "f0451aa069d77bf7038267e2ec04c8c2e2cacf89c449b91046b4e74478350b0b"),
+)
+
+
+@pytest.mark.parametrize("command,digest", PINNED, ids=[c for c, _ in PINNED])
+def test_artifact_digest_is_pinned(capsys, command, digest):
+    assert main([*command.split(), "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,6 +8,7 @@ from elemdiff import (
     Permutation,
     PreconditionError,
     SubgroupClass,
+    all_permutations,
     character_table,
     conjugacy_classes,
     constraint_scan,
@@ -191,6 +192,27 @@ def test_coset_character_whole_group_and_trivial():
 def test_coset_character_point_stabilizer_is_natural():
     chi = coset_character(point_stabilizer_class(5))
     assert chi.values == (5, 3, 2, 1, 1, 0, 0)
+
+
+def _coset_enumeration(sub, n):
+    """Fixed left cosets of each class representative, counted coset by
+    coset: the oracle for the cycle-profile formula."""
+    reps, covered = [], set()
+    for x in all_permutations(n):
+        if x not in covered:
+            reps.append(x)
+            covered.update(x.compose(h) for h in sub.elements)
+    return tuple(sum(1 for x in reps
+                     if x.inverse().compose(cc.representative).compose(x) in sub.elements)
+                 for cc in conjugacy_classes(n))
+
+
+@pytest.mark.parametrize("n,classes", [(3, 4), (4, 11), (5, 19)])
+def test_coset_character_matches_coset_enumeration(n, classes):
+    subs = subgroup_classes(n)
+    assert len(subs) == classes
+    for sub in subs:
+        assert coset_character(sub, n).values == _coset_enumeration(sub, n)
 
 
 def test_coset_character_identity_is_index():

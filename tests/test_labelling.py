@@ -23,6 +23,7 @@ from elemdiff import (
     random_jet,
     relabel,
 )
+from elemdiff.trees import _trees_rooted_at
 
 CFG = RunConfig()
 
@@ -141,15 +142,17 @@ def test_trees_come_root_first_then_by_parent_list():
         lead = n ** (n - 1) // n
         assert all(t.root == 1 for t in trees[:lead])
         assert all(t.root != 1 for t in trees[lead:])
+        # the labelled walk reads root 1's generator alone
+        assert list(_trees_rooted_at(n, 1)) == trees[:lead]
 
 
 def test_walk_budget_refuses_before_enumerating(monkeypatch):
     from elemdiff import labelling
 
-    def fail(n):
+    def fail(n, root):
         raise AssertionError("enumerated past the budget")
 
-    monkeypatch.setattr(labelling, "enumerate_trees", fail)
+    monkeypatch.setattr(labelling, "_trees_rooted_at", fail)
     with pytest.raises(SizeLimitError):
         enumerate_labelled(6, 4)
 

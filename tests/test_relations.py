@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from elemdiff import (
+    JetStream,
     MismatchError,
     PreconditionError,
-    RandomColumns,
     RunConfig,
     SizeLimitError,
     SpanInstabilityError,
@@ -35,9 +35,7 @@ from elemdiff import (
 from elemdiff.relations import (
     MAX_ROW_VERTICES,
     PRIME,
-    JetStream,
     _layer_ranks,
-    _layer_tuples,
     _layer_vector,
     exact_rank,
     in_relation_span,
@@ -55,8 +53,8 @@ CFG = RunConfig()
 
 def test_build_matrix_shape_and_entries():
     rows = span_rows(3)
-    m = build_matrix(rows, 2, RandomColumns(tuples=6, seed=99))
-    assert m.degree == 2
+    m = build_matrix(rows, 2, JetStream(99), 6)
+    assert all(jet.degree == 2 for tup in m.tuples for jet in tup)
     assert m.ncols == 12
     assert len(m.data) == 9
     assert all(isinstance(x, int) for row in m.data for x in row)
@@ -68,18 +66,18 @@ def test_build_matrix_shape_and_entries():
 
 def test_build_matrix_reproducible():
     rows = span_rows(3)
-    a = build_matrix(rows, 2, RandomColumns(tuples=4, seed=7))
-    b = build_matrix(rows, 2, RandomColumns(tuples=4, seed=7))
+    a = build_matrix(rows, 2, JetStream(7), 4)
+    b = build_matrix(rows, 2, JetStream(7), 4)
     assert a.data == b.data
-    c = build_matrix(rows, 2, RandomColumns(tuples=4, seed=8))
+    c = build_matrix(rows, 2, JetStream(8), 4)
     assert a.data != c.data
 
 
 def test_batched_and_exact_entry_paths_agree():
     # every kernel entry against the independent tree_value_at_zero oracle:
     # small jets give small entries, bound 10**6 entries beyond 2^63
-    small = build_matrix(span_rows(3), 2, RandomColumns(tuples=5, seed=31))
-    large = build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=31, bound=10**6))
+    small = build_matrix(span_rows(3), 2, JetStream(31), 5)
+    large = build_matrix(span_rows(4), 2, JetStream(31, bound=10**6), 3)
     assert max(abs(x) for row in large.data for x in row) >= 2**63
     for m in (small, large):
         for r in range(len(m.rows)):
@@ -89,22 +87,38 @@ def test_batched_and_exact_entry_paths_agree():
 
 def test_build_matrix_reads_a_shared_stream():
     # matrices on one stream share their first columns; a stream drawn for
-    # another row shape or seed is refused
+    # another row shape is refused
     rows = span_rows(3)
-    stream = JetStream(5, 3, 2, 2, 3)
-    long = build_matrix(rows, 2, RandomColumns(tuples=7, seed=5), stream)
-    short = build_matrix(rows, 2, RandomColumns(tuples=3, seed=5), stream)
+    stream = JetStream(5)
+    long = build_matrix(rows, 2, stream, 7)
+    short = build_matrix(rows, 2, stream, 3)
     assert [row[:6] for row in long.data] == short.data
-    assert long.data == build_matrix(rows, 2, RandomColumns(tuples=7, seed=5)).data
+    assert long.data == build_matrix(rows, 2, JetStream(5), 7).data
     with pytest.raises(MismatchError):
-        build_matrix(span_rows(4), 2, RandomColumns(tuples=3, seed=5), stream)
+        build_matrix(span_rows(4), 2, stream, 3)
     with pytest.raises(MismatchError):
-        build_matrix(rows, 2, RandomColumns(tuples=4, seed=9), stream)
+        build_matrix(rows, 3, stream, 3)
+    assert stream.describe() == {"scheme": "randomColumns", "tuples": 7,
+                                 "seed": 5, "bound": 3}
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (2, 4)])
+def test_plain_row_is_the_row_labelled_one_to_n(d, n):
+    # a plain tree is the (tree, labels) row whose vertex v reads input v
+    plain = span_rows(n)
+    pairs = [(t, tuple(range(1, n + 1))) for t in plain]
+    assert (dimension_certificate(plain, d, CFG).to_json_dict()
+            == dimension_certificate(pairs, d, CFG).to_json_dict())
+    assert (build_matrix(plain, d, JetStream(3), 4).data
+            == build_matrix(pairs, d, JetStream(3), 4).data)
+    for (t1, t2), (p1, p2) in zip(zip(plain, plain[1:]), zip(pairs, pairs[1:])):
+        assert certify_relation([(1, t1), (-1, t2)], d) == certify_relation(
+            [(1, p1), (-1, p2)], d)
 
 
 def test_build_matrix_respects_budget():
     with pytest.raises(SizeLimitError):
-        build_matrix(span_rows(3), 2, RandomColumns(tuples=10**6, seed=1))
+        build_matrix(span_rows(3), 2, JetStream(1), 10**6)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +240,7 @@ def test_layer_vector_is_tree_value_at_zero(d, n, profile):
         for row in rows:
             tree, labels = row if profile else (row, tuple(range(1, n + 1)))
             got = [Fraction(0)] * d
-            for (comp, tup), q in _layer_vector([(Fraction(1), row)], n, d).items():
+            for (comp, tup), q in _layer_vector([(Fraction(1), row)], d).items():
                 for p, (alpha, k) in enumerate(tup):
                     q *= jets[slot_of[p]].coeff(alpha, k)
                 got[comp - 1] += q
@@ -261,6 +275,31 @@ def test_certify_matches_brute_force_sweep(d, n, pairs):
         assert holds == _brute_force_holds(terms, d, n)
         verdicts.add(holds)
     assert verdicts == ({False} if d > 1 else {True, False})
+
+
+def _layer_tuples(d: int, slots: int, weights, total: int):
+    """Monomial tuples of total degree `total` (off it every row vanishes at
+    the origin) in witness order: lexicographic in the items (alpha,
+    component), ordered by degree, then alpha, then component.  Slot i of
+    weight m takes a multiset of m items, nondecreasing.  The reference walk
+    that `_layer_ranks` counts without walking."""
+    items = [(alpha, k) for alpha in monomials_up_to(d, total) for k in range(1, d + 1)]
+    spend = [sum(alpha) for alpha, _ in items]
+    owner = [i for i in range(slots) for _ in range(weights[i])]
+
+    def rec(p, first, remaining):
+        if p == len(owner):
+            if remaining == 0:
+                yield ()
+            return
+        lo = first if p and owner[p] == owner[p - 1] else 0
+        for idx in range(lo, len(items)):
+            if spend[idx] > remaining:
+                break
+            for rest in rec(p + 1, idx, remaining - spend[idx]):
+                yield (items[idx],) + rest
+
+    yield from rec(0, 0, total)
 
 
 @pytest.mark.parametrize("d,weights", [
@@ -329,7 +368,6 @@ def test_witness_independent_of_thread_count():
     `_layer_tuples` order, on which the combination is nonzero, and the
     tuple count is that tuple's 1-based position."""
     from elemdiff import monomial_term
-    from elemdiff.relations import _layer_tuples
     t1, t2 = same_fiber_pair()
     n = t1.size
     res = certify_relation([(1, t1), (-1, t2)], 2)
@@ -397,7 +435,7 @@ def _single_matrix_route(rows, d, seed):
     """The route before blocks: one matrix over all rows, one elimination
     modulo PRIME, and a rational lift of every nullspace vector."""
     tuples = -(-3 * len(rows) // d)  # twice the old first batch
-    data = build_matrix(rows, d, RandomColumns(tuples=tuples, seed=seed)).data
+    data = build_matrix(rows, d, JetStream(seed), tuples).data
     elim = eliminate_mod(data, PRIME)
     relations = [(pos, tuple((r, rational_reconstruct(a, PRIME))
                              for r, a in enumerate(vec) if a))
@@ -433,7 +471,7 @@ def test_block_ranks_add_to_the_stacked_rank(d, n):
     ranks = [dimension_certificate(block, d, CFG).rank for block in by_arity.values()]
     cert = dimension_certificate(rows, d, CFG)
     assert cert.blocks == len(by_arity)
-    stacked = build_matrix(rows, d, RandomColumns(tuples=-(-3 * len(rows) // d), seed=0))
+    stacked = build_matrix(rows, d, JetStream(0), -(-3 * len(rows) // d))
     assert sum(ranks) == cert.rank == exact_rank(stacked)[0] == cert.dimension
 
 
