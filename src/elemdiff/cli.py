@@ -168,8 +168,6 @@ def _cmd_identity_s2d(args, config):
     if args.dim > 2:
         raise SizeLimitError("the alternating identity is desk scale for d <= 2")
     check_dim = args.check_dim if args.check_dim is not None else args.dim
-    if check_dim > 3:
-        raise SizeLimitError("certification is desk scale for check dimension <= 3")
     terms = standard_identity_tree_terms(args.dim)
     result = certify_relation(terms, check_dim)
     payload = {

@@ -27,6 +27,7 @@ block by block and adds the bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -156,10 +157,10 @@ def build_matrix(rows: Sequence, d: int, stream: JetStream, tuples: int) -> Eval
 
 
 def _row_support(tree: Tree, labels, d: int):
-    """The row's d^n component assignments js, as the root's component and
-    one (label, js_v, gamma_v) factor per vertex, gamma_v counting v's
-    children per component.  On jets f_1, f_2, ... the row's value at the
-    origin sums prod_v gamma_v! [x^gamma_v] f_label(v)_(js_v) over them."""
+    """The row's d^n component assignments js, the verifier's monomials: the
+    root's component and one (label, js_v, gamma_v) factor per vertex,
+    gamma_v counting v's children per component; on jets f_1, f_2, ... the
+    row's value at the origin sums prod_v gamma_v! [x^gamma_v] f_label(v)_(js_v)."""
     verts = list(tree.vertices)
     pos = {v: i for i, v in enumerate(verts)}
     kids = [[pos[c] for c in tree.children(v)] for v in verts]
@@ -195,22 +196,30 @@ def _column_entries(rows, tuples, d):
     """Value at the origin of every row on every tuple of integer jets, one
     column per output component, in exact Python integers.
 
-    Each row sums, over its `_row_support`, the product of factorial-weighted
-    jet coefficients: one list per factor holds its coefficient on every
-    tuple, and each assignment's product is added to its root component's
-    list.
+    Butcher's recursion, bottom-up: F(T)(0) = f_root^(k)(0)[F(T_1)(0), ...,
+    F(T_k)(0)] over the root's subtrees T_i.  A vertex's value in component
+    k sums, over its children's components js, the `_FactorTable` list
+    (label, k, gamma(js)) times the children's values in components js, so a
+    vertex with k children costs d^(k+1) list products.
     """
     table = _FactorTable(tuples)
-    data = []
-    for row in rows:
-        acc = [[0] * len(tuples) for _ in range(d)]
-        for root, factors in _row_support(*row, d):
-            prod = table[factors[0]]
-            for factor in factors[1:]:
-                prod = map(operator.mul, prod, table[factor])
-            acc[root - 1] = list(map(operator.add, acc[root - 1], prod))
-        data.append([x for column in zip(*acc) for x in column])
-    return data
+
+    def value(tree, labels, v):
+        """v's value at the origin: per component, a list over the tuples."""
+        kids = [value(tree, labels, c) for c in tree.children(v)]
+        out = [[0] * len(tuples) for _ in range(d)]
+        for js in itertools.product(range(d), repeat=len(kids)):
+            gamma = tuple(map(js.count, range(d)))
+            below = [1] * len(tuples)
+            for kid, j in zip(kids, js):
+                below = list(map(operator.mul, below, kid[j]))
+            for k in range(d):
+                term = map(operator.mul, table[labels[v - 1], k + 1, gamma], below)
+                out[k] = list(map(operator.add, out[k], term))
+        return out
+
+    return [[x for column in zip(*value(tree, labels, tree.root)) for x in column]
+            for tree, labels in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +413,7 @@ class CertifyResult:
     tuples_skipped_off_layer: int
 
 
+@functools.lru_cache(maxsize=1)  # a certificate's relations all share one shape
 def _layer_ranks(d: int, weights, total: int):
     """(size, rank): how many monomial tuples of total degree `total` there
     are (off it every row vanishes at the origin), and the 1-based position
@@ -484,7 +494,7 @@ def _check_dimension(d: int):
         raise PreconditionError(f"dimension must be at least 1, got {d}")
 
 
-# d ** n component assignments a row sums over, in the kernel and verifier
+# d ** n component assignments the verifier sums per row; certificates check it first
 MAX_COMPONENT_ASSIGNMENTS = 4096
 # vertices per row; binds at d = 1, where the verifier's rank table grows as n^3
 MAX_ROW_VERTICES = 128
@@ -687,18 +697,18 @@ def span_rows(n: int, linear_only: bool = False) -> list:
     return trees
 
 
-def _dimension_guard(d: int, n: int):
-    if d >= 3 and n > 4:
-        raise SizeLimitError("dimension runs need n <= 4 when d >= 3")
+def _check_span(n: int):
+    """The one size rule of `dimension_w`, `dimension_labelled` and
+    `block_basis`; `_check_assignments` bounds d.  n = 6 waits for transport."""
     if n > 5:
-        raise SizeLimitError("dimension runs need n <= 5")
+        raise SizeLimitError("named spans need n <= 5")
 
 
 def dimension_w(d: int, n: int, linear: bool = False,
                 config: Optional[RunConfig] = None) -> DimensionCertificate:
     """Certified dimension of the span of all (or all linear) arity-n rows."""
     config = config or RunConfig()
-    _dimension_guard(d, n)
+    _check_span(n)
     return dimension_certificate(span_rows(n, linear_only=linear), d, config)
 
 
@@ -710,7 +720,7 @@ def dimension_labelled(d: int, n: int, multiplicities,
     labels[v-1], so repeated colours mean repeated functions.
     """
     config = config or RunConfig()
-    _dimension_guard(d, n)
+    _check_span(n)
     multiplicities = tuple(multiplicities)
     reps = enumerate_labelled(n, len(multiplicities), multiplicities)
     return dimension_certificate([(o.tree, o.labels) for o in reps], d, config)
@@ -811,13 +821,6 @@ class Block:
         }
 
 
-# tree size `block_basis` admits: its largest orbit, 2,1,1,0,0 at d = 5
-# (30 blocks of 12 rows), takes 7.5 s as a whole run on a 2-CPU host; at
-# n = 6, d = 4 one 60-row block of 2,1,1,1,0,0 takes 3.5 s, and that orbit
-# has 60 of them
-MAX_BLOCK_VERTICES = 5
-
-
 def block_basis(d: int, n: int, orbit_code: str,
                 config: Optional[RunConfig] = None) -> list:
     """Certified greedy bases of the multi-index blocks of one orbit.
@@ -828,8 +831,7 @@ def block_basis(d: int, n: int, orbit_code: str,
     is its pivot rows - the greedy basis in enumeration order.
     """
     config = config or RunConfig()
-    if n > MAX_BLOCK_VERTICES:
-        raise SizeLimitError(f"block bases need n <= {MAX_BLOCK_VERTICES}")
+    _check_span(n)
     mis = [m for m in enumerate_multi_indices(n) if m.orbit_code() == orbit_code]
     if not mis:
         raise PreconditionError(f"no multi-index matches orbit {orbit_code!r}")

@@ -1,9 +1,10 @@
 """Byte identity of the command line's artifacts.
 
-The benchmark's operations and the paper's two headline runs (620 and 115),
-each at `--seed 1`, pinned by the sha256 of the artifact they print.  A
-change that alters any byte of these artifacts fails here and has to say
-which field changed and why.
+The benchmark's operations, the paper's two headline runs (620 and 115) and
+the two runs that lean hardest on the column kernel (the widest d at n = 5
+and at n = 4), each at `--seed 1`, pinned by the sha256 of the artifact they
+print.  A change that alters any byte of these artifacts fails here and has
+to say which field changed and why.
 """
 
 import hashlib
@@ -45,6 +46,10 @@ PINNED = (
      "69730d264040d6b941b6e2eaa2131f64128883a78df4af75c4087a83703e7ca3"),
     ("dim w --dim 2 --n 5 --linear",
      "f0451aa069d77bf7038267e2ec04c8c2e2cacf89c449b91046b4e74478350b0b"),
+    ("block basis --dim 5 --n 5 --mi-orbit 2,1,1,0,0",
+     "e7c16cdb64e803a8dffd75f116525ece383ea8f981b7526b9a679758e50b8cf5"),
+    ("dim w --dim 8 --n 4",
+     "5d2a0088b9708a0439ec6dd6136a51951c0e419f77a502d62b43602cd9edce5f"),
 )
 
 

@@ -122,13 +122,22 @@ def test_dim_w_linear_and_labelled(capsys):
 
 
 def test_dim_w_guard_error(capsys):
-    # n = 5 needs d <= 2; 9 ** 4 component assignments exceed 8 ** 4
-    for dim, n in (("3", "5"), ("9", "4")):
+    # n <= 5 for every d; 6 ** 5 and 9 ** 4 component assignments exceed 8 ** 4
+    for dim, n in (("2", "6"), ("6", "5"), ("9", "4")):
         code, out, err = run_cli(capsys, "dim", "w", "--dim", dim, "--n", n)
         assert code == 2
         assert out == ""
         obj = json.loads(err)
         assert obj["error"]["type"] == "SizeLimitError"
+
+
+def test_dim_w_d3_n5_is_the_tree_count(capsys):
+    # at d = 3 every one of the 5 ** 4 five-vertex trees is independent
+    code, out, _ = run_cli(capsys, "dim", "w", "--dim", "3", "--n", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["dimension"]) == ("certified", 625)
+    assert payload["relations"] == []
 
 
 def test_identity_s2d(capsys):
@@ -196,6 +205,20 @@ def test_help_still_exits_zero(capsys):
 def test_identity_s2d_guard(capsys):
     code, _, err = run_cli(capsys, "identity", "s2d", "--dim", "3")
     assert code == 2
+    assert json.loads(err)["error"]["type"] == "SizeLimitError"
+
+
+def test_identity_s2d_check_dim_follows_the_assignment_bound(capsys):
+    # the check dimension has no bound of its own: 4 ** 5 assignments are
+    # checked, 6 ** 5 = 7,776 exceed 4,096
+    code, out, _ = run_cli(capsys, "identity", "s2d", "--dim", "2", "--check-dim", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] is False
+    assert payload["witness"] is not None
+    code, out, err = run_cli(capsys, "identity", "s2d", "--dim", "2", "--check-dim", "6")
+    assert code == 2
+    assert out == ""
     assert json.loads(err)["error"]["type"] == "SizeLimitError"
 
 

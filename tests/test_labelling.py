@@ -266,7 +266,8 @@ def test_repeated_colour_certificates_never_disagree(profile):
 
 
 def test_dimension_guard():
-    with pytest.raises(SizeLimitError):
-        dimension_labelled(3, 5, (1,) * 5, config=CFG)
+    # n <= 5 for every d; d ** n = 6 ** 5 = 7,776 component assignments exceed 4,096
     with pytest.raises(SizeLimitError):
         dimension_labelled(2, 6, (1,) * 6, config=CFG)
+    with pytest.raises(SizeLimitError):
+        dimension_labelled(6, 5, (2, 2, 1), config=CFG)

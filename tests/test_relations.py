@@ -12,6 +12,7 @@ from elemdiff import (
     SizeLimitError,
     SpanInstabilityError,
     Permutation,
+    Tree,
     build_matrix,
     block_basis,
     certify_relation,
@@ -75,11 +76,18 @@ def test_build_matrix_reproducible():
 
 def test_batched_and_exact_entry_paths_agree():
     # every kernel entry against the independent tree_value_at_zero oracle:
-    # small jets give small entries, bound 10**6 entries beyond 2^63
+    # small jets give small entries, bound 10**6 entries beyond 2^63; rows
+    # with repeated colours, the n = 5 corolla (one vertex with four
+    # children, the recursion's widest step) and d = 3
     small = build_matrix(span_rows(3), 2, JetStream(31), 5)
     large = build_matrix(span_rows(4), 2, JetStream(31, bound=10**6), 3)
     assert max(abs(x) for row in large.data for x in row) >= 2**63
-    for m in (small, large):
+    coloured = [(o.tree, o.labels) for o in enumerate_labelled(4, 2, (2, 2))]
+    assert any(len(set(labels)) < len(labels) for _, labels in coloured)
+    corolla = Tree.from_parents([0, 1, 1, 1, 1])
+    for m in (small, large, build_matrix(coloured, 2, JetStream(32), 3),
+              build_matrix([corolla, chain_tree(range(1, 6))], 3, JetStream(33), 2),
+              build_matrix(span_rows(3), 3, JetStream(34), 3)):
         for r in range(len(m.rows)):
             for c in range(m.ncols):
                 assert m.check_entry(r, c)
@@ -476,10 +484,11 @@ def test_block_ranks_add_to_the_stacked_rank(d, n):
 
 
 def test_dimension_guard():
-    with pytest.raises(SizeLimitError):
-        dimension_w(3, 5, config=CFG)
+    # n <= 5 for every d; d ** n = 6 ** 5 = 7,776 component assignments exceed 4,096
     with pytest.raises(SizeLimitError):
         dimension_w(2, 6, config=CFG)
+    with pytest.raises(SizeLimitError):
+        dimension_w(6, 5, config=CFG)
 
 
 def test_span_rows_counts():
@@ -656,6 +665,7 @@ def test_thin_blocks_grow_past_a_stable_rank(seed):
 
 
 def test_block_basis_size_guard():
-    for d, n, code in [(3, 7, "1,1,1,1,1,1,0"), (4, 6, "2,1,1,1,0,0"), (1, 6, "5,0,0,0,0,0")]:
+    for d, n, code in [(3, 7, "1,1,1,1,1,1,0"), (4, 6, "2,1,1,1,0,0"), (1, 6, "5,0,0,0,0,0"),
+                       (6, 5, "2,1,1,0,0")]:
         with pytest.raises(SizeLimitError):
             block_basis(d, n, orbit_code=code, config=CFG)
