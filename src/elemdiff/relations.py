@@ -9,7 +9,9 @@ Soundness layout:
     rational reconstruction and verified exactly: a row's value at the
     origin is a polynomial in its inputs' jet coefficients, one monomial per
     component assignment of its vertices, and a relation holds iff its
-    sparse vector of monomial coefficients vanishes;
+    sparse vector of monomial coefficients vanishes.  The columns and that
+    polynomial come from one Butcher recursion (`_butcher`), over integer
+    lists and over sparse polynomials;
   * upper bound = rows - verified independent relations.  The two bounds
     either meet ("certified") or the result is reported inconclusive; a
     wrong number is never emitted.
@@ -156,70 +158,53 @@ def build_matrix(rows: Sequence, d: int, stream: JetStream, tuples: int) -> Eval
     return EvalMatrix(rows=rows, d=d, data=_column_entries(rows, jets, d), tuples=jets)
 
 
-def _row_support(tree: Tree, labels, d: int):
-    """The row's d^n component assignments js, the verifier's monomials: the
-    root's component and one (label, js_v, gamma_v) factor per vertex,
-    gamma_v counting v's children per component; on jets f_1, f_2, ... the
-    row's value at the origin sums prod_v gamma_v! [x^gamma_v] f_label(v)_(js_v)."""
-    verts = list(tree.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    kids = [[pos[c] for c in tree.children(v)] for v in verts]
-    slots = [labels[v - 1] for v in verts]
-    root = pos[tree.root]
-    for js in itertools.product(range(1, d + 1), repeat=len(verts)):
-        factors = []
-        for i, j in enumerate(js):
-            gamma = [0] * d
-            for c in kids[i]:
-                gamma[js[c] - 1] += 1
-            factors.append((slots[i], j, tuple(gamma)))
-        yield js[root], factors
+def _butcher(tree: Tree, labels, d: int, factor, times, plus) -> list:
+    """The row's value at the origin, one ring element per output component,
+    by Butcher's recursion F(T)(0) = f_root^(k)(0)[F(T_1)(0), ..., F(T_k)(0)]
+    over the root's subtrees T_i, bottom-up.  A vertex's value in component
+    k sums, over its children's components js, factor(label, k, gamma) times
+    the children's values in components js, where gamma counts js per
+    component and factor stands for gamma! [x^gamma] f_label(k); so a vertex
+    with m children costs d^(m+1) products.  A leaf's value is its factors.
+    `plus` may reuse its first argument, always a fresh product."""
 
+    children = tree.children_map
 
-class _FactorTable(dict):
-    """(label, component, gamma) -> gamma! [x^gamma] f_label(component) on
-    every tuple, computed on first use: the rows of one block read only the
-    gammas their vertices' arities allow."""
+    def value(v):
+        label, kids = labels[v - 1], list(map(value, children[v]))
+        if not kids:
+            gamma = (0,) * d  # shared by d memo keys, not d tuples of length d
+            return [factor(label, k, gamma) for k in range(1, d + 1)]
+        out = [None] * d
+        for js in itertools.product(range(d), repeat=len(kids)):
+            gamma = tuple(map(js.count, range(d)))
+            below = functools.reduce(times, map(operator.getitem, kids, js))
+            for k in range(d):
+                term = times(factor(label, k + 1, gamma), below)
+                out[k] = term if out[k] is None else plus(out[k], term)
+        return out
 
-    def __init__(self, tuples):
-        super().__init__()
-        self.tuples = tuples
-
-    def __missing__(self, factor):
-        i, j, g = factor
-        w = math.prod(math.factorial(x) for x in g)
-        column = self[factor] = [int(tup[i - 1].coeff(g, j)) * w for tup in self.tuples]
-        return column
+    return value(tree.root)
 
 
 def _column_entries(rows, tuples, d):
     """Value at the origin of every row on every tuple of integer jets, one
-    column per output component, in exact Python integers.
+    column per output component, in exact Python integers: `_butcher` over
+    lists with one entry per tuple, each factor computed on first use."""
 
-    Butcher's recursion, bottom-up: F(T)(0) = f_root^(k)(0)[F(T_1)(0), ...,
-    F(T_k)(0)] over the root's subtrees T_i.  A vertex's value in component
-    k sums, over its children's components js, the `_FactorTable` list
-    (label, k, gamma(js)) times the children's values in components js, so a
-    vertex with k children costs d^(k+1) list products.
-    """
-    table = _FactorTable(tuples)
+    @functools.cache
+    def factor(label, k, gamma):
+        w = math.prod(map(math.factorial, gamma))
+        return [int(tup[label - 1].coeff(gamma, k)) * w for tup in tuples]
 
-    def value(tree, labels, v):
-        """v's value at the origin: per component, a list over the tuples."""
-        kids = [value(tree, labels, c) for c in tree.children(v)]
-        out = [[0] * len(tuples) for _ in range(d)]
-        for js in itertools.product(range(d), repeat=len(kids)):
-            gamma = tuple(map(js.count, range(d)))
-            below = [1] * len(tuples)
-            for kid, j in zip(kids, js):
-                below = list(map(operator.mul, below, kid[j]))
-            for k in range(d):
-                term = map(operator.mul, table[labels[v - 1], k + 1, gamma], below)
-                out[k] = list(map(operator.add, out[k], term))
-        return out
+    def times(a, b):
+        return list(map(operator.mul, a, b))
 
-    return [[x for column in zip(*value(tree, labels, tree.root)) for x in column]
-            for tree, labels in rows]
+    def plus(a, b):
+        return list(map(operator.add, a, b))
+
+    return [[x for column in zip(*_butcher(tree, labels, d, factor, times, plus))
+             for x in column] for tree, labels in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +277,7 @@ def minor_is_nonsingular_mod(matrix, row_positions, col_positions, p: int) -> bo
     return True
 
 
-def exact_rank(matrix, method: str = "auto") -> tuple:
+def exact_rank(matrix, method: str = "bareiss") -> tuple:
     """Exact rank of a small matrix; returns (rank, pivot_rows, pivot_cols).
 
     method "bareiss" runs fraction-free integer elimination, "gauss" rational
@@ -306,8 +291,6 @@ def exact_rank(matrix, method: str = "auto") -> tuple:
     ncols = len(matrix[0]) if nrows else 0
     if nrows * ncols > 2_000_000:
         raise SizeLimitError("exact_rank is for desk-size matrices; use certificates")
-    if method == "auto":
-        method = "bareiss"
     if method == "bareiss":
         return _rank_bareiss(matrix)
     if method == "gauss":
@@ -448,16 +431,32 @@ def _layer_ranks(d: int, weights, total: int):
 def _layer_vector(terms, d: int) -> dict:
     """Nonzero coefficients of the combination's value at the origin as a
     polynomial in the inputs' jet coefficients, keyed (output component,
-    layer tuple): each support assignment reads [x^gamma] of component js
-    of each vertex's input, and those (gamma, js), sorted slot by slot in
-    item order, are a layer tuple."""
+    layer tuple).  Each row runs `_butcher` over sparse polynomials: a
+    monomial is a tuple of (label, |gamma|, gamma, component) factors, one
+    per vertex reading [x^gamma] of that component of its input, with
+    coefficient gamma!; a product concatenates monomials.  A root monomial's
+    factors, sorted, are its (gamma, component) items slot by slot in item
+    order: a layer tuple."""
+
+    @functools.cache
+    def factor(label, k, gamma):
+        return {((label, sum(gamma), gamma, k),): math.prod(map(math.factorial, gamma))}
+
+    def times(p, q):
+        return {a + b: x * y for a, x in p.items() for b, y in q.items()}
+
+    def plus(p, q):
+        for mono, c in q.items():
+            p[mono] = p.get(mono, 0) + c
+        return p
+
     vec = {}
     for coeff, row in terms:
-        for root, factors in _row_support(*_labelled(row), d):
-            weight = math.prod(math.factorial(g) for _, _, gamma in factors for g in gamma)
-            factors.sort(key=lambda f: (f[0], sum(f[2]), f[2], f[1]))
-            key = (root, tuple((gamma, j) for _, j, gamma in factors))
-            vec[key] = vec.get(key, 0) + coeff * weight
+        value = _butcher(*_labelled(row), d, factor, times, plus)
+        for k, poly in enumerate(value, start=1):
+            for mono, c in poly.items():
+                key = (k, tuple((gamma, j) for _, _, gamma, j in sorted(mono)))
+                vec[key] = vec.get(key, 0) + coeff * c
     return {key: q for key, q in vec.items() if q}
 
 
@@ -494,7 +493,8 @@ def _check_dimension(d: int):
         raise PreconditionError(f"dimension must be at least 1, got {d}")
 
 
-# d ** n component assignments the verifier sums per row; certificates check it first
+# d ** n monomials, one per component assignment, in a plain row's verifier
+# polynomial; certificates check it first
 MAX_COMPONENT_ASSIGNMENTS = 4096
 # vertices per row; binds at d = 1, where the verifier's rank table grows as n^3
 MAX_ROW_VERTICES = 128

@@ -31,7 +31,6 @@ from elemdiff import (
     RunConfig,
     all_permutations,
     canonicalize_labelled,
-    chain_tree,
     conjugacy_classes,
     constraint_scan,
     dimension_certificate,
@@ -61,7 +60,7 @@ from elemdiff import (
 )
 from elemdiff.cli import main as cli_main
 from elemdiff.jets import add, monomial_jet, scale, truncate
-from elemdiff.relations import exact_rank, in_relation_span, relation_vector
+from elemdiff.relations import exact_rank, in_relation_span
 from elemdiff.trees import Tree
 
 CFG = RunConfig()

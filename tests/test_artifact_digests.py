@@ -1,10 +1,12 @@
 """Byte identity of the command line's artifacts.
 
-The benchmark's operations, the paper's two headline runs (620 and 115) and
+The benchmark's operations, the paper's two headline runs (620 and 115),
 the two runs that lean hardest on the column kernel (the widest d at n = 5
-and at n = 4), each at `--seed 1`, pinned by the sha256 of the artifact they
-print.  A change that alters any byte of these artifacts fails here and has
-to say which field changed and why.
+and at n = 4) and two that lean on the exact relation verifier (a d = 4
+witness deep in its layer, at position 4,070,000, and a verified relation
+among rows with a repeated colour), each at `--seed 1`, pinned by the sha256
+of the artifact they print.  A change that alters any byte of these
+artifacts fails here and has to say which field changed and why.
 """
 
 import hashlib
@@ -50,6 +52,10 @@ PINNED = (
      "e7c16cdb64e803a8dffd75f116525ece383ea8f981b7526b9a679758e50b8cf5"),
     ("dim w --dim 8 --n 4",
      "5d2a0088b9708a0439ec6dd6136a51951c0e419f77a502d62b43602cd9edce5f"),
+    ("identity s2d --dim 2 --check-dim 4",
+     "41cbeedae109e9f9fe02591599d6db53574f4d50296ad1c8a93488a95127edfc"),
+    ("dim w --dim 2 --n 5 --labels 2,1,1,1",
+     "25f2769beea43cd7e797d1de87d5026e11b00df43b6c5473d37de07a84f78534"),
 )
 
 

@@ -7,7 +7,6 @@ from elemdiff import (
     CharacterRow,
     Permutation,
     PreconditionError,
-    SubgroupClass,
     all_permutations,
     character_table,
     conjugacy_classes,

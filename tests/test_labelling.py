@@ -10,7 +10,6 @@ from elemdiff import (
     PreconditionError,
     RunConfig,
     SizeLimitError,
-    Tree,
     all_permutations,
     canonical_code,
     canonicalize_labelled,

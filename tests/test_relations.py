@@ -159,6 +159,12 @@ def test_exact_rank_known_cases():
     assert len(prows) == len(pcols) == 2
 
 
+def test_exact_rank_refuses_an_unknown_method():
+    for method in ("auto", "lu"):
+        with pytest.raises(PreconditionError):
+            exact_rank([[1, 0], [0, 1]], method=method)
+
+
 def test_eliminate_mod_agrees_with_exact_rank():
     rng = random.Random(23)
     p = PRIME
@@ -236,6 +242,7 @@ def _profile_id(value):
 
 @pytest.mark.parametrize("d,n,profile", [
     (1, 4, None), (2, 3, None), (3, 3, None), (2, 3, (2, 1)), (2, 3, (3,)),
+    (3, 4, None), (2, 4, (2, 2)),
 ], ids=_profile_id)
 def test_layer_vector_is_tree_value_at_zero(d, n, profile):
     # each sparse vector, read as a polynomial in the jet coefficients and
@@ -254,6 +261,24 @@ def test_layer_vector_is_tree_value_at_zero(d, n, profile):
                 got[comp - 1] += q
             want = tree_value_at_zero(tree, {v: jets[labels[v - 1] - 1] for v in tree.vertices})
             assert tuple(got) == want
+
+
+@pytest.mark.parametrize("profile", [(2, 1), (2, 2), (3, 1)], ids=_profile_id)
+def test_layer_keys_are_sorted_within_each_slot(profile):
+    # `_layer_ranks` ranks a tuple whose slot of weight m holds m items in
+    # nondecreasing item order (degree, alpha, component); a key out of that
+    # order would move the witness without failing any relation check
+    d = 2
+    rows, _, weights = _rows_of(d, sum(profile), profile)
+    starts = list(itertools.accumulate(weights, initial=0))
+    mixed = 0
+    for row in rows:
+        for _, tup in _layer_vector([(Fraction(1), row)], d):
+            for lo, hi in zip(starts, starts[1:]):
+                order = [(sum(alpha), alpha, k) for alpha, k in tup[lo:hi]]
+                assert order == sorted(order)
+                mixed += len(set(order)) > 1
+    assert mixed  # the check saw slots whose items differ
 
 
 def _brute_force_holds(terms, d, n):
