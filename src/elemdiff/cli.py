@@ -150,7 +150,7 @@ def _cmd_eval_g(args, config):
 
 
 def _cmd_dim_w(args, config):
-    if args.labels:
+    if args.labels is not None:
         ks = tuple(int(x) for x in args.labels.split(","))
         cert = dimension_labelled(args.dim, args.n, ks, config)
         head = {"kind": "labelled", "labels": list(ks)}
@@ -356,13 +356,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         config = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
         artifact = args.handler(args, config)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(artifact)
+        else:
+            sys.stdout.write(artifact)
     except (ElemdiffError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(_json_artifact(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(artifact)
-    else:
-        sys.stdout.write(artifact)
     return 0

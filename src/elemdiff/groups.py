@@ -3,11 +3,13 @@ subgroup lattice up to conjugacy, coset characters, and the constraint scan.
 
 Everything here is desk scale (degree at most 6), so the algorithms are the
 blunt exact ones: explicit element sets, explicit conjugation, explicit
-fixed-point counting.
+fixed-point counting, and subgroup classes told apart by membership in the
+sets of conjugates of the classes already found.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,27 +52,15 @@ def _class_size(n: int, partition) -> int:
     return math.factorial(n) // z
 
 
-def _class_rep(n: int, partition) -> Permutation:
-    images = list(range(1, n + 1))
-    start = 1
-    for length in sorted(l for l in partition if l > 1):
-        block = list(range(start, start + length))
-        for i, v in enumerate(block):
-            images[v - 1] = block[(i + 1) % length]
-        start += length
-    return Permutation(tuple(images))
-
-
-def _class_label(partition) -> str:
-    cycles = sorted(l for l in partition if l > 1)
-    if not cycles:
-        return "id"
+def _cycles(partition) -> tuple:
+    """The non-trivial cycles of a cycle type laid on consecutive points,
+    shortest first: (3, 2) gives ((1, 2), (3, 4, 5))."""
     out = []
     start = 1
-    for length in cycles:
-        out.append("(" + "".join(str(x) for x in range(start, start + length)) + ")")
+    for length in sorted(l for l in partition if l > 1):
+        out.append(tuple(range(start, start + length)))
         start += length
-    return "".join(out)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -78,17 +68,16 @@ def conjugacy_classes(n: int) -> tuple:
     """All classes of the degree-n symmetric group, in the fixed display
     order: fewer moved points first, then ascending non-trivial cycle
     lengths (id, (12), (123), (12)(34), (1234), (12)(345), (12345) at n=5)."""
-    items = []
-    for p in _partitions(n):
-        key = (sum(l for l in p if l > 1), tuple(sorted(l for l in p if l > 1)))
-        items.append((key, ConjugacyClass(
-            partition=p,
-            representative=_class_rep(n, p),
-            size=_class_size(n, p),
-            label=_class_label(p),
-        )))
-    items.sort(key=lambda t: t[0])
-    return tuple(cc for _, cc in items)
+    classes = []
+    # equal moved points leave equal fixed points, so sorted(p) then
+    # compares the non-trivial cycle lengths, ascending
+    for p in sorted(_partitions(n), key=lambda p: (n - p.count(1), sorted(p))):
+        cycles = _cycles(p)
+        label = "".join("(" + "".join(map(str, c)) + ")" for c in cycles)
+        classes.append(ConjugacyClass(partition=p,
+                                      representative=Permutation.from_cycles(n, *cycles),
+                                      size=_class_size(n, p), label=label or "id"))
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -202,40 +191,38 @@ def _profile(elems) -> tuple:
     return tuple(sorted(e.cycle_type() for e in elems))
 
 
-def _conjugate_into(gens, target: frozenset, group) -> bool:
-    """Does some group element carry every generator into target?"""
-    for s in group:
-        si = s.inverse()
-        if all(s.compose(g).compose(si) in target for g in gens):
-            return True
-    return False
-
-
 @lru_cache(maxsize=None)
 def subgroup_classes(n: int = 5) -> tuple:
     """Every subgroup of the degree-n symmetric group, one per conjugacy
     class, grown by single-generator extensions from the trivial group.
 
-    Dedup: order + cycle-type profile as a cheap key, explicit conjugation
-    of generator sets as the decider.  A generator is tried once per orbit
+    Dedup: each class found records its whole set of conjugate subgroups,
+    so a grown subgroup is new iff it is not among them, and the class
+    size is the number of conjugates.  A generator is tried once per orbit
     of conjugation by the current subgroup (conjugate generators generate
     conjugate extensions).
     """
+    if n < 1:
+        raise PreconditionError("need n >= 1")
     if n > MAX_SUBGROUP_DEGREE:
         raise SizeLimitError(f"subgroup classification needs n <= {MAX_SUBGROUP_DEGREE}")
     group = all_permutations(n)
-    ident = Permutation.identity(n)
-    trivial = frozenset({ident})
-    found = [(trivial, (), _profile(trivial))]
+    known = set()
+    found = []
 
-    def seen(elems, profile):
-        order = len(elems)
-        for elems2, gens2, profile2 in found:
-            if len(elems2) == order and profile2 == profile:
-                if _conjugate_into(gens2 or (ident,), elems, group):
-                    return True
-        return False
+    def record(elems, gens):
+        # s and every s·k (k in elems) conjugate elems alike: one s per coset
+        conjugates, covered = set(), set()
+        for s in group:
+            if s not in covered:
+                covered.update(s.compose(k) for k in elems)
+                si = s.inverse()
+                conjugates.add(frozenset(s.compose(h).compose(si) for h in elems))
+        known.update(conjugates)
+        found.append((elems, gens, _profile(elems), len(conjugates)))
 
+    trivial = frozenset({Permutation.identity(n)})
+    record(trivial, ())
     frontier = [(trivial, ())]
     while frontier:
         grown = []
@@ -247,32 +234,20 @@ def subgroup_classes(n: int = 5) -> tuple:
                 for h in elems:
                     tried.add(h.compose(g).compose(h.inverse()))
                 bigger = _closure(n, gens + (g,))
-                profile = _profile(bigger)
-                if not seen(bigger, profile):
-                    found.append((bigger, gens + (g,), profile))
+                if bigger not in known:
+                    record(bigger, gens + (g,))
                     grown.append((bigger, gens + (g,)))
         frontier = grown
 
-    order_of_g = math.factorial(n)
-    records = []
-    for elems, gens, profile in found:
-        normalizer = sum(
-            1 for s in group
-            if all(s.compose(g).compose(s.inverse()) in elems for g in (gens or (ident,)))
-        )
-        fixes = any(all(e(q) == q for e in elems) for q in range(1, n + 1))
-        records.append((elems, gens, profile, order_of_g // normalizer, fixes))
-    records.sort(key=lambda r: (len(r[0]), r[2]))
+    found.sort(key=lambda r: (len(r[0]), r[2]))
     out = []
-    by_order: dict = {}
-    for elems, gens, profile, csize, fixes in records:
-        order = len(elems)
-        suffix = by_order.get(order, 0)
-        by_order[order] = suffix + 1
-        label = f"order{order}{chr(ord('a') + suffix)}"
-        out.append(SubgroupClass(order=order, generators=tuple(gens),
-                                 elements=elems, cycle_profile=profile,
-                                 class_size=csize, fixes_point=fixes, label=label))
+    for order, same in itertools.groupby(found, key=lambda r: len(r[0])):
+        for i, (elems, gens, profile, csize) in enumerate(same):
+            fixes = any(all(e(q) == q for e in elems) for q in range(1, n + 1))
+            out.append(SubgroupClass(order=order, generators=gens, elements=elems,
+                                     cycle_profile=profile, class_size=csize,
+                                     fixes_point=fixes,
+                                     label=f"order{order}{chr(ord('a') + i)}"))
     return tuple(out)
 
 

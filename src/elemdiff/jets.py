@@ -163,13 +163,11 @@ def assemble(scalars) -> Jet:
     return Jet(d, degree, [s.comps[0] for s in scalars])
 
 
-def mul_scalar(u: Jet, v: Jet, cap: int | None = None) -> Jet:
+def mul_scalar(u: Jet, v: Jet) -> Jet:
     """Product of scalar jets; the result is only trusted to min(D_u, D_v)."""
     if not (u.is_scalar() and v.is_scalar()) or u.d != v.d:
         raise MismatchError("mul_scalar needs two scalar jets over the same variables")
     degree = min(u.degree, v.degree)
-    if cap is not None:
-        degree = min(degree, cap)
     out = {}
     for a1, q1 in u.comps[0].items():
         for a2, q2 in v.comps[0].items():

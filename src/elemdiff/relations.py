@@ -741,7 +741,7 @@ def relation_vector(rel: CertifiedRelation, nrows: int):
     return v
 
 
-def reduce_against(vector, relations, nrows: int):
+def reduce_against(vector, relations):
     """Remainder of a row-combination vector modulo echelonised relations."""
     v = list(vector)
     for rel in relations:
@@ -753,8 +753,8 @@ def reduce_against(vector, relations, nrows: int):
     return v
 
 
-def in_relation_span(vector, relations, nrows: int) -> bool:
-    return not any(reduce_against(vector, relations, nrows))
+def in_relation_span(vector, relations) -> bool:
+    return not any(reduce_against(vector, relations))
 
 
 # ---------------------------------------------------------------------------

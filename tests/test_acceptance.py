@@ -127,7 +127,7 @@ def test_criterion_03_nullspace_is_the_alternating_span(full_span_5):
             vec[row_pos[relabel(t, s)]] += q
         perm_vectors.append(vec)
 
-    members = all(in_relation_span(v, cert.relations, nrows) for v in perm_vectors)
+    members = all(in_relation_span(v, cert.relations) for v in perm_vectors)
     rank_perm = exact_rank([[int(x) for x in v] for v in perm_vectors],
                            method="gauss")[0]
     ok = len(cert.relations) == 5 and members and rank_perm == 5

@@ -5,7 +5,9 @@ the two runs that lean hardest on the column kernel (the widest d at n = 5
 and at n = 4) and two that lean on the exact relation verifier (a d = 4
 witness deep in its layer, at position 4,070,000, and a verified relation
 among rows with a repeated colour), each at `--seed 1`, pinned by the sha256
-of the artifact they print.  A change that alters any byte of these
+of the artifact they print.  The subgroup records of S_4 and S_5 are pinned
+too: `groups scan` prints only its survivors' generators, so these two are
+what fixes every class's label, order, class size and generator list.  A change that alters any byte of these
 artifacts fails here and has to say which field changed and why.
 """
 
@@ -56,6 +58,10 @@ PINNED = (
      "41cbeedae109e9f9fe02591599d6db53574f4d50296ad1c8a93488a95127edfc"),
     ("dim w --dim 2 --n 5 --labels 2,1,1,1",
      "25f2769beea43cd7e797d1de87d5026e11b00df43b6c5473d37de07a84f78534"),
+    ("groups subgroups --n 4",
+     "9b2371747a230775d70a4395d86688ea3901de236e1dcde2403fb2e8f6e5b87a"),
+    ("groups subgroups",
+     "eac1e113e371bbfcb1d7c6c5d5f4d8156cbb609964650f3e6d17ebcb1e3c67e3"),
 )
 
 

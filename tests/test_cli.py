@@ -277,6 +277,14 @@ def test_dim_w_repeated_colour_never_certifies_a_wrong_value(capsys, argv):
     assert payload["status"] == "inconclusive" or payload["dimension"] == 2
 
 
+def test_dim_w_empty_labels_is_a_json_error(capsys):
+    # an empty profile is malformed, not an absent --labels
+    code, out, err = run_cli(capsys, "dim", "w", "--dim", "1", "--n", "3", "--labels=")
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err)["error"]) == {"type", "message"}
+
+
 def test_dim_zero_is_a_json_error(capsys):
     code, out, err = run_cli(capsys, "dim", "w", "--dim", "0", "--n", "3")
     assert code == 2
@@ -317,6 +325,15 @@ def test_groups_subgroups(capsys):
     assert payload["classCount"] == 19
     orders = [c["order"] for c in payload["classes"]]
     assert orders == sorted(orders)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_groups_subgroups_needs_a_point(capsys, n):
+    code, out, err = run_cli(capsys, "groups", "subgroups", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "PreconditionError",
+                                        "message": "need n >= 1"}
 
 
 def test_groups_scan_and_control(capsys):
@@ -381,6 +398,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["rows"]["tree_fixed_points"][0] == 625
+
+
+def test_out_flag_unwritable_path_is_a_json_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "artifact.txt"
+    code, out, err = run_cli(capsys, "trees", "enum", "--n", "3", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [

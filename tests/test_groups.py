@@ -140,6 +140,17 @@ def test_total_subgroup_counts():
     assert sum(sc.class_size for sc in subgroup_classes(5)) == 156
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_sizes_are_normalizer_indices(n):
+    # the number of conjugates is n! / |N(H)|, with N(H) counted over S_n
+    group = all_permutations(n)
+    for sc in subgroup_classes(n):
+        normalizer = sum(
+            1 for s in group
+            if all(s.compose(h).compose(s.inverse()) in sc.elements for h in sc.elements))
+        assert sc.class_size == math.factorial(n) // normalizer
+
+
 def test_subgroup_records_are_groups():
     for sc in subgroup_classes(4):
         elems = set(sc.elements)

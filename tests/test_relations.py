@@ -542,12 +542,12 @@ def test_nullspace_relations_reduce_to_zero():
     nrows = len(rows)
     for rel in rels[:6]:
         vec = relation_vector(rel, nrows)
-        assert in_relation_span(vec, rels, nrows)
-        assert all(q == 0 for q in reduce_against(vec, rels, nrows))
+        assert in_relation_span(vec, rels)
+        assert all(q == 0 for q in reduce_against(vec, rels))
     # a lone basis row is not in the span of the relations
     basis_vec = [Fraction(0)] * nrows
     basis_vec[cert.minor_rows[0]] = Fraction(1)
-    assert not in_relation_span(basis_vec, rels, nrows)
+    assert not in_relation_span(basis_vec, rels)
 
 
 def test_relation_leading_structure():
