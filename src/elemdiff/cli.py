@@ -86,11 +86,26 @@ def _load_relation(path: str):
 
 
 def _load_jets(path: str) -> list:
+    """Jets from an inputs file; a malformed file is a PreconditionError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise PreconditionError("inputs file must hold a list of jets")
-    return [Jet.from_json_dict(obj) for obj in raw]
+    jets = []
+    for item in raw:
+        item = item if isinstance(item, dict) else {}
+        comps = item.get("components")
+        if not (_is_int(item.get("d")) and _is_int(item.get("D")) and isinstance(comps, list)
+                and all(isinstance(comp, dict) for comp in comps)):
+            raise PreconditionError(
+                'each jet needs integer "d" and "D" and a "components" list of '
+                '{"exponents": coefficient} objects')
+        try:
+            comps = [{key: Fraction(str(q)) for key, q in comp.items()} for comp in comps]
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError("jet coefficients must be integers or fractions")
+        jets.append(Jet.from_json_dict({"d": item["d"], "D": item["D"], "components": comps}))
+    return jets
 
 
 # ---------------------------------------------------------------------------

@@ -171,20 +171,21 @@ class SubgroupClass:
     label: str
 
 
-def _closure(n: int, gens) -> frozenset:
-    ident = Permutation.identity(n)
-    elems = {ident}
-    frontier = [ident]
+def _closure(elems: frozenset, gens) -> frozenset:
+    """The group `gens` generate: a union of right cosets elems·y of its
+    subgroup `elems`, closed under right multiplication by each generator."""
+    out = set(elems)
+    frontier = [Permutation.identity(gens[0].degree)]
     while frontier:
         new = []
-        for x in frontier:
+        for y in frontier:
             for g in gens:
-                y = x.compose(g)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
+                z = y.compose(g)
+                if z not in out:
+                    out.update(h.compose(z) for h in elems)
+                    new.append(z)
         frontier = new
-    return frozenset(elems)
+    return frozenset(out)
 
 
 def _profile(elems) -> tuple:
@@ -233,7 +234,7 @@ def subgroup_classes(n: int = 5) -> tuple:
                     continue
                 for h in elems:
                     tried.add(h.compose(g).compose(h.inverse()))
-                bigger = _closure(n, gens + (g,))
+                bigger = _closure(elems, gens + (g,))
                 if bigger not in known:
                     record(bigger, gens + (g,))
                     grown.append((bigger, gens + (g,)))

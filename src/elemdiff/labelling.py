@@ -2,8 +2,16 @@
 
 A labelled object is a tree plus one colour per vertex, taken modulo the
 diagonal action (permute vertices, transport colours along).  Objects are
-stored as the minimal representative of their orbit, so equality of orbits
-is equality of representatives.
+stored as the lex-min member of their orbit in (parent list, colours), so
+equality of orbits is equality of representatives.
+
+That member is built directly.  Its root is 1 and vertex k's parent is the
+lowest-numbered vertex with unnumbered children: the numbering is
+breadth-first, and only sibling order is free.  The parent list is least
+when the child counts, read in that order, are greatest.  Swapping adjacent
+sibling subtrees swaps one block per level, and at the first level where the
+blocks differ they have equal length.  So siblings sort by their subtrees'
+breadth-first child counts, descending, then colours, ascending.
 """
 
 from __future__ import annotations
@@ -14,12 +22,10 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
-from .trees import ROOT, Tree, _trees_rooted_at, canonical_code
+from .trees import ROOT, Tree
 
-MAX_CANON_VERTICES = 6
-# (root-1 tree, label vector) pairs one `enumerate_labelled` walk may visit.
-# It admits every colour profile at n <= 6; the costliest admitted walk,
-# `1,1,1,1,1,1` at n = 6 (933,120 pairs), takes 11 s on a 2-CPU host.
+# (tree, labels) pairs one `enumerate_labelled` call may visit: n^(n-2) trees
+# rooted at 1 times the label vectors; every profile at n <= 6, one colour to 8.
 MAX_WALK_PAIRS = 10**6
 
 
@@ -52,26 +58,34 @@ class LabelledObject:
         }
 
 
+def _lex_min(tree: Tree, labels) -> tuple:
+    """(entries, colours) of the lex-min member of (tree, labels)'s orbit; each
+    subtree, leaves first, is keyed by a walk over its sorted children."""
+    children = tree.children_map
+    order = [tree.root]
+    for v in order:
+        order.extend(children[v])
+    ordered, key = {}, {}
+    for v in reversed(order):  # children first; the root, and its walk, last
+        ordered[v] = sorted(children[v], key=key.__getitem__)
+        walk = [v]
+        for w in walk:
+            walk.extend(ordered[w])
+        key[v] = (tuple([-len(children[w]) for w in walk]),
+                  tuple([labels[w - 1] for w in walk]))
+    number = {w: i for i, w in enumerate(walk, start=1)}
+    entries = tuple([(number[w], number.get(tree.parent_map[w], ROOT)) for w in walk])
+    return entries, key[tree.root][1]
+
+
 def canonicalize_labelled(base: Tree, labels) -> LabelledObject:
     """Minimal representative of the diagonal orbit of (base, labels)."""
     labels = tuple(labels)
-    n = base.size
-    if len(labels) != n:
+    if len(labels) != base.size:
         raise MismatchError("one label per vertex")
     if not base.is_contiguous():
         raise PreconditionError("canonicalization needs vertex set {1..n}")
-    if n > MAX_CANON_VERTICES:
-        raise SizeLimitError(f"orbit minimum is explicit, n <= {MAX_CANON_VERTICES}")
-
-    def moved(sigma):  # vertex v renamed sigma[v-1], colours carried along
-        entries = tuple(sorted((sigma[v - 1], ROOT if p == ROOT else sigma[p - 1])
-                               for v, p in base.entries))
-        colours = [0] * n
-        for v, colour in enumerate(labels):
-            colours[sigma[v] - 1] = colour
-        return entries, tuple(colours)
-
-    entries, colours = min(map(moved, itertools.permutations(range(1, n + 1))))
+    entries, colours = _lex_min(base, labels)
     return LabelledObject(Tree(entries), colours)
 
 
@@ -95,17 +109,16 @@ def enumerate_labelled(n: int, ell: int,
     """All orbits of (tree, labels in [ell]^n), optionally of one colour
     profile, each as its lex-min member in (entries, labels), ascending.
 
-    Every orbit has members rooted at 1, and they sort below all others.
-    The walk pairs those trees, parent lists ascending, with the label
-    vectors, ascending, so its first pair of each coloured `canonical_code`
-    is that orbit's lex-min member.
+    Shapes of k vertices are the lex-min members of those of k - 1 with a
+    leaf added; each is its own lex-min member, so its orbits are the
+    distinct lex-min colours of the label vectors.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
     if ell < 1:
         raise PreconditionError("need at least one colour")
-    if n > MAX_CANON_VERTICES:
-        raise SizeLimitError(f"labelled orbits are enumerated for n <= {MAX_CANON_VERTICES}")
+    if (n - 2) * math.log(n) > math.log(MAX_WALK_PAIRS):  # trees alone; no huge power
+        raise SizeLimitError(f"walk of over {MAX_WALK_PAIRS} pairs: {n}^{n - 2} trees rooted at 1")
     if multiplicities is None:
         colours = range(1, ell + 1)
         vector_count = ell ** n
@@ -123,10 +136,10 @@ def enumerate_labelled(n: int, ell: int,
     vectors = [labels for labels in itertools.product(colours, repeat=n)
                if multiplicities is None
                or all(labels.count(c) == multiplicities[c - 1] for c in colours)]
-    orbits = {}
-    for tree in _trees_rooted_at(n, 1):
-        for labels in vectors:
-            code = canonical_code(tree, labels)
-            if code not in orbits:
-                orbits[code] = LabelledObject(tree, labels)
-    return list(orbits.values())
+    shapes = [Tree(((1, ROOT),))]
+    for k in range(2, n + 1):
+        grown = {_lex_min(Tree(shape.entries + ((k, v),)), (1,) * k)[0]
+                 for shape in shapes for v in shape.vertices}
+        shapes = [Tree(entries) for entries in sorted(grown)]
+    return [LabelledObject(shape, labels) for shape in shapes
+            for labels in sorted({_lex_min(shape, vector)[1] for vector in vectors})]

@@ -3,7 +3,8 @@
 A tree is stored as a sorted tuple of (vertex, parent) pairs with parent 0
 marking the root.  Vertex labels are positive integers and need not be
 contiguous, so grafting constructions with shifted labels stay first-class;
-operations that need the vertex set {1..n} say so.
+operations that need the vertex set {1..n} say so.  A tree up to relabelling
+is named by its lex-min member, which `labelling` builds.
 """
 
 from __future__ import annotations
@@ -188,17 +189,15 @@ def enumerate_trees(n: int) -> list[Tree]:
         raise PreconditionError("need n >= 1")
     if n > MAX_ENUM_VERTICES:
         raise SizeLimitError(f"n={n} exceeds the enumeration guard ({MAX_ENUM_VERTICES})")
-    return [tree for root in range(1, n + 1) for tree in _trees_rooted_at(n, root)]
-
-
-def _trees_rooted_at(n: int, root: int):
-    """The n^(n-2) rooted trees on {1..n} with this root, parent lists ascending."""
-    others = [v for v in range(1, n + 1) if v != root]
-    for parents in itertools.product(range(1, n + 1), repeat=n - 1):
-        pmap = dict(zip(others, parents))
-        pmap[root] = ROOT
-        if _reaches_root(pmap):
-            yield Tree.from_parent_map(pmap)
+    trees = []
+    for root in range(1, n + 1):
+        others = [v for v in range(1, n + 1) if v != root]
+        for parents in itertools.product(range(1, n + 1), repeat=n - 1):
+            pmap = dict(zip(others, parents))
+            pmap[root] = ROOT
+            if _reaches_root(pmap):
+                trees.append(Tree.from_parent_map(pmap))
+    return trees
 
 
 def relabel(tree: Tree, sigma: Permutation) -> Tree:
@@ -311,19 +310,6 @@ def graft_sum(scion: Tree, stock: Tree) -> list[Tree]:
             entries.append((w, v if p == ROOT else p))
         out.append(Tree(tuple(sorted(entries))))
     return out
-
-
-def canonical_code(tree: Tree, colours=None) -> str:
-    """Label-independent shape code: child codes sorted and parenthesised.
-
-    With `colours` (colours[v-1] = colour of vertex v) each vertex's code
-    opens with its colour, so two coloured trees share a code iff a
-    relabelling carries one onto the other, colours included.
-    """
-    def code(v):
-        head = "(" if colours is None else f"({colours[v - 1]}:"
-        return head + "".join(sorted(code(w) for w in tree.children(v))) + ")"
-    return code(tree.root)
 
 
 def chain_tree(order) -> Tree:

@@ -7,7 +7,9 @@ witness deep in its layer, at position 4,070,000, and a verified relation
 among rows with a repeated colour), each at `--seed 1`, pinned by the sha256
 of the artifact they print.  The subgroup records of S_4 and S_5 are pinned
 too: `groups scan` prints only its survivors' generators, so these two are
-what fixes every class's label, order, class size and generator list.  A change that alters any byte of these
+what fixes every class's label, order, class size and generator list.  The
+orbit runs, `trees canon --n 6` in both formats and two labelled profiles at
+n = 5, pin the representatives that `labelling` builds.  A change that alters any byte of these
 artifacts fails here and has to say which field changed and why.
 """
 
@@ -62,6 +64,14 @@ PINNED = (
      "9b2371747a230775d70a4395d86688ea3901de236e1dcde2403fb2e8f6e5b87a"),
     ("groups subgroups",
      "eac1e113e371bbfcb1d7c6c5d5f4d8156cbb609964650f3e6d17ebcb1e3c67e3"),
+    ("trees canon --n 6",
+     "1f8721d328e3849ce7017e66457b82fbecf89bbf6eaf8c5de6e286b7a55adb6f"),
+    ("trees canon --n 6 --format json",
+     "ee96f3ea1942ba774179378227086a99510f944aa33c093634b0808f87c522f4"),
+    ("dim w --dim 2 --n 5 --labels 2,2,1",
+     "456dea3d71821c5e996477d6bf48a9954730b280ee8baae5680464314fc3af14"),
+    ("dim w --dim 2 --n 5 --labels 1,1,1,1,1",
+     "4d6463ae895b956518823050895ce7f1bb620a80acef522d2a4b0f99b2f44409"),
 )
 
 

@@ -44,11 +44,11 @@ def test_trees_canon(capsys):
     code, out, _ = run_cli(capsys, "trees", "canon", "--n", "5", "--format", "json")
     assert json.loads(out)["orbitCount"] == 9
     # unlabelled rooted trees, OEIS A000081
-    for n, count in zip(range(1, 7), (1, 1, 2, 4, 9, 20)):
+    for n, count in zip(range(1, 9), (1, 1, 2, 4, 9, 20, 48, 115)):
         code, out, _ = run_cli(capsys, "trees", "canon", "--n", str(n), "--format", "json")
         assert code == 0
         assert json.loads(out)["orbitCount"] == count
-    code, _, err = run_cli(capsys, "trees", "canon", "--n", "7")
+    code, _, err = run_cli(capsys, "trees", "canon", "--n", "9")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "SizeLimitError"
 
@@ -99,6 +99,26 @@ def test_eval_g_scalar_only(capsys, tmp_path):
                            "--inputs", str(path))
     assert code == 0
     assert json.loads(out)["d"] == 1
+
+
+@pytest.mark.parametrize("jet", [
+    5,
+    {"d": "x", "D": 2, "components": [{"1": "2"}]},
+    {"d": 1, "D": "x", "components": [{"1": "2"}]},
+    {"d": 1, "D": 2, "components": 5},
+    {"d": 1, "D": 2, "components": [[1]]},
+    {"d": 1, "D": 2, "components": [{"1": [1]}]},
+    {"d": 1, "D": 2, "components": [{"1": None}]},
+    {"d": 1, "D": 2, "components": [{"1": "1/0"}]},
+    {"d": True, "D": 2, "components": [{"1": "2"}]},
+])
+def test_eval_bad_inputs_file_is_a_json_error(capsys, tmp_path, jet):
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps([jet]))
+    code, out, err = run_cli(capsys, "eval", "g", "--mi", "z[(1,0)]", "--inputs", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
 
 
 def test_dim_w_json(capsys):

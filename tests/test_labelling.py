@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -11,7 +12,6 @@ from elemdiff import (
     RunConfig,
     SizeLimitError,
     all_permutations,
-    canonical_code,
     canonicalize_labelled,
     chain_tree,
     dimension_labelled,
@@ -22,9 +22,24 @@ from elemdiff import (
     random_jet,
     relabel,
 )
-from elemdiff.trees import _trees_rooted_at
+from elemdiff.trees import ROOT
 
 CFG = RunConfig()
+
+
+def sn_lex_min(base, labels):
+    # oracle: the least (entries, colours) over all n! relabellings
+    n = base.size
+
+    def moved(sigma):  # vertex v renamed sigma[v-1], colours carried along
+        entries = tuple(sorted((sigma[v - 1], ROOT if p == ROOT else sigma[p - 1])
+                               for v, p in base.entries))
+        colours = [0] * n
+        for v, colour in enumerate(labels):
+            colours[sigma[v] - 1] = colour
+        return entries, tuple(colours)
+
+    return min(map(moved, itertools.permutations(range(1, n + 1))))
 
 
 def orbit_count_brute(n, ell):
@@ -53,8 +68,30 @@ def test_validation():
         LabelledObject(t, (1, 2))
     with pytest.raises(PreconditionError):
         LabelledObject(t, (1, 0, 2))
-    with pytest.raises(SizeLimitError):
-        canonicalize_labelled(chain_tree(list(range(1, 8))), (1,) * 7)
+
+
+def test_canonicalize_matches_the_sn_search():
+    # every tree with n <= 4 under up to 3 colours, then samples at n = 5, 6
+    for n in range(1, 5):
+        for t in enumerate_trees(n):
+            for labels in itertools.product((1, 2, 3), repeat=n):
+                obj = canonicalize_labelled(t, labels)
+                assert (obj.tree.entries, obj.labels) == sn_lex_min(t, labels)
+    rng = random.Random(5)
+    for n, samples in ((5, 150), (6, 60)):
+        trees = enumerate_trees(n)
+        for _ in range(samples):
+            t = rng.choice(trees)
+            labels = tuple(rng.randint(1, 3) for _ in range(n))
+            obj = canonicalize_labelled(t, labels)
+            assert (obj.tree.entries, obj.labels) == sn_lex_min(t, labels)
+
+
+def test_canonicalize_walks_a_chain_past_the_recursion_limit():
+    n = sys.getrecursionlimit() + 1
+    obj = canonicalize_labelled(chain_tree(range(n, 0, -1)), range(1, n + 1))
+    assert obj.tree.parent_list() == list(range(n))
+    assert obj.labels == tuple(range(n, 0, -1))
 
 
 def test_canonicalize_idempotent_and_orbit_invariant():
@@ -108,52 +145,53 @@ def test_enumeration_matches_brute_force_lex_min():
             for tree in enumerate_trees(n):
                 for labels in set(itertools.permutations(
                         [c for c, k in enumerate(profile, start=1) for _ in range(k)])):
-                    brute.add(canonicalize_labelled(tree, labels))
+                    brute.add(sn_lex_min(tree, labels))
             got = enumerate_labelled(n, len(profile), profile)
             assert len(set(got)) == len(got)
-            assert set(got) == brute
+            assert {(o.tree.entries, o.labels) for o in got} == brute
             assert got == sorted(got, key=lambda o: (o.tree.entries, o.labels))
     assert len(enumerate_labelled(5, 2, (3, 2))) == 63
     assert len(enumerate_labelled(5, 2, (4, 1))) == 35
     with pytest.raises(SizeLimitError):
-        enumerate_labelled(7, 1, (7,))
+        enumerate_labelled(9, 1, (9,))
 
 
 @pytest.mark.parametrize("profile", [*_compositions_of(5), (6,), (3, 3)],
                          ids=lambda p: ",".join(map(str, p)))
 def test_enumeration_past_n4_is_canonical_distinct_and_sorted(profile):
-    # the S_n search fixes every representative, and no two share an orbit
+    # the S_n search fixes every representative, so no two share an orbit
     got = enumerate_labelled(sum(profile), len(profile), profile)
     for o in got:
-        assert canonicalize_labelled(o.tree, o.labels) == o
-    codes = {canonical_code(o.tree, o.labels) for o in got}
-    assert len(codes) == len(got)
+        assert sn_lex_min(o.tree, o.labels) == (o.tree.entries, o.labels)
+    assert len(set(got)) == len(got)
     assert got == sorted(got, key=lambda o: (o.tree.entries, o.labels))
     if sum(profile) == 6:
         assert len(got) == {(6,): 20, (3, 3): 268}[profile]
 
 
 def test_trees_come_root_first_then_by_parent_list():
-    # the walk's premise: the root-1 trees lead, parent lists ascending
+    # enumerate_trees' order: one block per root, parent lists ascending
     for n in range(1, 7):
         trees = enumerate_trees(n)
         assert trees == sorted(trees, key=lambda t: (t.root, t.parent_list()))
         lead = n ** (n - 1) // n
         assert all(t.root == 1 for t in trees[:lead])
         assert all(t.root != 1 for t in trees[lead:])
-        # the labelled walk reads root 1's generator alone
-        assert list(_trees_rooted_at(n, 1)) == trees[:lead]
 
 
 def test_walk_budget_refuses_before_enumerating(monkeypatch):
     from elemdiff import labelling
 
-    def fail(n, root):
+    def fail(tree, labels):
         raise AssertionError("enumerated past the budget")
 
-    monkeypatch.setattr(labelling, "_trees_rooted_at", fail)
+    monkeypatch.setattr(labelling, "_lex_min", fail)  # grows the shapes
     with pytest.raises(SizeLimitError):
         enumerate_labelled(6, 4)
+    with pytest.raises(SizeLimitError):
+        enumerate_labelled(9, 1)
+    with pytest.raises(SizeLimitError):
+        enumerate_labelled(10**9, 1, (10**9,))
 
 
 def test_enumeration_validation():

@@ -10,7 +10,7 @@ from elemdiff import (
     Tree,
     all_permutations,
     bplus,
-    canonical_code,
+    canonicalize_labelled,
     chain_tree,
     enumerate_trees,
     find_sigma,
@@ -28,6 +28,11 @@ TREE_COUNTS = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
 
 # Orbit counts under vertex relabelling = unlabelled rooted trees.
 ORBIT_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9}
+
+
+def lex_min(tree, colours=None):
+    # the orbit's name: its lex-min member, one colour unless colours are given
+    return canonicalize_labelled(tree, colours or (1,) * tree.size)
 
 
 def test_enumeration_counts():
@@ -133,23 +138,23 @@ def test_relabel_preserves_shape():
     t = Tree.from_parents([0, 1, 2, 2])
     s = Permutation.from_cycles(4, (1, 4, 2))
     u = relabel(t, s)
-    assert canonical_code(u) == canonical_code(t)
+    assert lex_min(u) == lex_min(t)
     assert u.root == s(t.root)
 
 
-def test_orbit_counts_via_canonical_code():
+def test_orbit_counts_via_lex_min_member():
     for n, count in ORBIT_COUNTS.items():
-        codes = {canonical_code(t) for t in enumerate_trees(n)}
-        assert len(codes) == count
+        names = {lex_min(t) for t in enumerate_trees(n)}
+        assert len(names) == count
 
 
-def test_canonical_code_separates_orbits():
-    # two trees share a code iff some relabelling maps one onto the other
+def test_lex_min_member_separates_orbits():
+    # two trees share a lex-min member iff some relabelling maps one onto the other
     trees = enumerate_trees(4)
     perms = all_permutations(4)
     for t1, t2 in itertools.combinations(trees[:20], 2):
         same_orbit = any(relabel(t1, s) == t2 for s in perms)
-        assert same_orbit == (canonical_code(t1) == canonical_code(t2))
+        assert same_orbit == (lex_min(t1) == lex_min(t2))
     # coloured: the relabelling must carry colours along as well
     def transported(colours, s):
         out = [0] * len(colours)
@@ -162,7 +167,7 @@ def test_canonical_code_separates_orbits():
     orbit = {x: {(relabel(x[0], s), transported(x[1], s)) for s in all_permutations(3)}
              for x in coloured}
     for x, y in itertools.combinations(coloured, 2):
-        assert (y in orbit[x]) == (canonical_code(*x) == canonical_code(*y))
+        assert (y in orbit[x]) == (lex_min(*x) == lex_min(*y))
 
 
 # ---------------------------------------------------------------------------
