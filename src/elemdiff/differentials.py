@@ -1,6 +1,6 @@
 """Differential maps attached to trees and multi-indices.
 
-`eval_tree` is the recursive reference semantics on truncated jets.  The
+`eval_tree` is the reference semantics on truncated jets.  The
 closed forms (`monomial_term`, `tree_value_at_zero`, `tree_polynomial`) are
 independent evaluation routes used for certification and cross-checking:
 on monomial inputs a tree evaluates to a single exact monomial, and the
@@ -47,25 +47,26 @@ def _check_vector_jets(jets):
 
 
 def eval_tree(tree: Tree, inputs, degree: int | None = None) -> Jet:
-    """Recursive evaluation: each vertex differentiates its function once per
-    child, in the child's output component, and multiplies the child values in."""
+    """Evaluation from the leaves up: each vertex differentiates its function
+    once per child, in the child's output component, and multiplies the child
+    values in.  It walks `Tree.order` backwards, with no recursion."""
     jbv = _jets_by_vertex(tree, inputs)
     d = _check_vector_jets(jbv.values())
     if degree is not None:
         jbv = {v: truncate(f, degree) for v, f in jbv.items()}
-    return _eval_vertex(tree, tree.root, jbv, d)
+    values = {}
+    for v in reversed(tree.order):
+        values[v] = _eval_vertex(jbv[v], [values.pop(c) for c in tree.children(v)], d)
+    return values[tree.root]
 
 
-def _eval_vertex(tree: Tree, v: int, jbv: dict, d: int) -> Jet:
-    f = jbv[v]
-    kids = tree.children(v)
-    if not kids:
+def _eval_vertex(f: Jet, child_jets: list, d: int) -> Jet:
+    if not child_jets:
         return f
-    child_jets = [_eval_vertex(tree, c, jbv, d) for c in kids]
     out = []
     for k in range(1, d + 1):
         acc = None
-        for js in itertools.product(range(1, d + 1), repeat=len(kids)):
+        for js in itertools.product(range(1, d + 1), repeat=len(child_jets)):
             gamma = [0] * d
             for j in js:
                 gamma[j - 1] += 1

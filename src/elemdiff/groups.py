@@ -145,9 +145,7 @@ def sign_natural_character(d: int) -> CharacterRow:
 
 def reduced_tree_character(d: int = 2) -> CharacterRow:
     """Tree character minus the sign-times-natural row, on 2d+1 points."""
-    n = 2 * d + 1
-    return tree_fixed_character(n).minus(sign_natural_character(d),
-                                         "reduced_difference")
+    return character_table(2 * d + 1)[2]
 
 
 def character_table(n: int = 5) -> list:

@@ -62,11 +62,8 @@ def _lex_min(tree: Tree, labels) -> tuple:
     """(entries, colours) of the lex-min member of (tree, labels)'s orbit; each
     subtree, leaves first, is keyed by a walk over its sorted children."""
     children = tree.children_map
-    order = [tree.root]
-    for v in order:
-        order.extend(children[v])
     ordered, key = {}, {}
-    for v in reversed(order):  # children first; the root, and its walk, last
+    for v in reversed(tree.order):  # children first; the root, and its walk, last
         ordered[v] = sorted(children[v], key=key.__getitem__)
         walk = [v]
         for w in walk:

@@ -5,13 +5,16 @@ Soundness layout:
   * a nonsingular square minor modulo the prime `PRIME` proves the same
     minor is nonsingular over the rationals, so modular rank is an exact
     lower bound once the minor is re-checked;
-  * candidate row relations are lifted from the modular nullspace by
-    rational reconstruction and verified exactly: a row's value at the
-    origin is a polynomial in its inputs' jet coefficients, one monomial per
-    component assignment of its vertices, and a relation holds iff its
-    sparse vector of monomial coefficients vanishes.  The columns and that
-    polynomial come from one Butcher recursion (`_butcher`), over integer
-    lists and over sparse polynomials;
+  * the recheck also solves, by back-substitution against that minor, each
+    row that reduced to zero as a combination of the pivot rows mod p; the
+    minor is nonsingular, so that candidate relation is unique.  It is
+    lifted by rational reconstruction and verified exactly: a row's value at
+    the origin is a polynomial in its inputs' jet coefficients, one monomial
+    per component assignment of its vertices, built at most once per
+    certificate, and a relation holds iff the combination of its rows'
+    polynomials vanishes.  The columns and those polynomials come from one
+    Butcher recursion (`_butcher`), over integer lists and over sparse
+    polynomials;
   * upper bound = rows - verified independent relations.  The two bounds
     either meet ("certified") or the result is reported inconclusive; a
     wrong number is never emitted.
@@ -216,65 +219,72 @@ class Elimination:
     pivot_rows: list
     pivot_cols: list
     null_rows: list      # positions of rows that reduced to zero
-    null_vectors: list   # left-nullspace vectors mod p, aligned with null_rows
 
 
 def eliminate_mod(matrix, p: int) -> Elimination:
     """Left-looking, no row swaps: each row is reduced against the pivots in
-    creation order, so a vanishing row yields a nullspace vector supported on
-    itself plus earlier pivot rows - an echelon structure that makes the
-    reported vectors independent for free."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    pivots = []  # (row position, pivot column, reduced row, reduced aug)
-    null_rows, null_vectors = [], []
-    for pos in range(nrows):
-        row = [x % p for x in matrix[pos]]
-        aug = [0] * nrows
-        aug[pos] = 1
-        for ppos, pcol, prow, paug in pivots:
+    creation order, so a vanishing row depends on earlier pivot rows only.
+    Its relation is read off the pivot minor by `minor_is_nonsingular_mod`."""
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = []  # (row position, pivot column, reduced row)
+    null_rows = []
+    for pos, raw in enumerate(matrix):
+        row = [x % p for x in raw]
+        for _, pcol, prow in pivots:
             f = row[pcol]
             if f:
                 row[pcol:] = [(a - f * b) % p for a, b in zip(row[pcol:], prow[pcol:])]
-                aug = [(a - f * b) % p for a, b in zip(aug, paug)]
         lead = next((c for c in range(ncols) if row[c]), None)
         if lead is None:
             null_rows.append(pos)
-            null_vectors.append(aug)
             continue
         inv = pow(row[lead], p - 2, p)
         row[lead:] = [a * inv % p for a in row[lead:]]
-        aug = [a * inv % p for a in aug]
-        pivots.append((pos, lead, row, aug))
+        pivots.append((pos, lead, row))
     return Elimination(
         rank=len(pivots),
         pivot_rows=[t[0] for t in pivots],
         pivot_cols=[t[1] for t in pivots],
         null_rows=null_rows,
-        null_vectors=null_vectors,
     )
 
 
-def minor_is_nonsingular_mod(matrix, row_positions, col_positions, p: int) -> bool:
-    """Fresh elimination (with pivoting) of the selected square minor mod p.
-    Nonzero determinant mod p proves a nonzero determinant over the integers."""
+def minor_is_nonsingular_mod(matrix, row_positions, col_positions,
+                             p: int) -> Optional[dict]:
+    """Fresh elimination (with pivoting) of the selected square minor mod p,
+    transposed, beside the matrix's other rows at the same columns.  None
+    if the minor is singular mod p.  Otherwise, by back-substitution, each
+    other row's coefficients on the minor's rows (aligned with
+    `row_positions`) mod p, keyed by its position: those of the unique
+    combination of the minor's rows that agrees with it on the minor's
+    columns.  A nonzero determinant mod p proves one over the integers."""
     k = len(row_positions)
     if k != len(col_positions):
         raise PreconditionError("minor must be square")
-    sub = [[matrix[r][c] % p for c in col_positions] for r in row_positions]
+    chosen = set(row_positions)
+    others = [r for r in range(len(matrix)) if r not in chosen]
+    # one equation per minor column: the minor's rows, then the others, there
+    sub = [[matrix[r][c] % p for r in (*row_positions, *others)] for c in col_positions]
     for i in range(k):
         piv = next((r for r in range(i, k) if sub[r][i]), None)
         if piv is None:
-            return False
-        if piv != i:
-            sub[i], sub[piv] = sub[piv], sub[i]
+            return None
+        sub[i], sub[piv] = sub[piv], sub[i]
         inv = pow(sub[i][i], p - 2, p)
-        sub[i] = [x * inv % p for x in sub[i]]
+        sub[i][i:] = [x * inv % p for x in sub[i][i:]]
         for r in range(i + 1, k):
             f = sub[r][i]
             if f:
-                sub[r] = [(a - f * b) % p for a, b in zip(sub[r], sub[i])]
-    return True
+                sub[r][i:] = [(a - f * b) % p for a, b in zip(sub[r][i:], sub[i][i:])]
+    solved = [None] * k  # solved[i][j]: other row j's coefficient on minor row i
+    for i in reversed(range(k)):
+        x = sub[i][k:]
+        for j in range(i + 1, k):
+            f = sub[i][j]
+            if f:
+                x = [(a - f * b) % p for a, b in zip(x, solved[j])]
+        solved[i] = x
+    return {r: tuple(x[j] for x in solved) for j, r in enumerate(others)}
 
 
 def exact_rank(matrix, method: str = "bareiss") -> tuple:
@@ -428,15 +438,14 @@ def _layer_ranks(d: int, weights, total: int):
     return tables[0][0][total], rank
 
 
-def _layer_vector(terms, d: int) -> dict:
-    """Nonzero coefficients of the combination's value at the origin as a
-    polynomial in the inputs' jet coefficients, keyed (output component,
-    layer tuple).  Each row runs `_butcher` over sparse polynomials: a
-    monomial is a tuple of (label, |gamma|, gamma, component) factors, one
-    per vertex reading [x^gamma] of that component of its input, with
-    coefficient gamma!; a product concatenates monomials.  A root monomial's
-    factors, sorted, are its (gamma, component) items slot by slot in item
-    order: a layer tuple."""
+def _row_polynomial(row, d: int) -> dict:
+    """A (tree, labels) row's value at the origin as a polynomial in the
+    inputs' jet coefficients, keyed (output component, layer tuple).  It runs
+    `_butcher` over sparse polynomials: a monomial is a tuple of (label,
+    |gamma|, gamma, component) factors, one per vertex reading [x^gamma] of
+    that component of its input, with coefficient gamma!; a product
+    concatenates monomials.  A root monomial's factors, sorted, are its
+    (gamma, component) items slot by slot in item order: a layer tuple."""
 
     @functools.cache
     def factor(label, k, gamma):
@@ -450,14 +459,29 @@ def _layer_vector(terms, d: int) -> dict:
             p[mono] = p.get(mono, 0) + c
         return p
 
+    poly = {}
+    for k, value in enumerate(_butcher(*row, d, factor, times, plus), start=1):
+        for mono, c in value.items():
+            key = (k, tuple((gamma, j) for _, _, gamma, j in sorted(mono)))
+            poly[key] = poly.get(key, 0) + c
+    return poly
+
+
+def _combination(terms) -> dict:
+    """Nonzero coefficients of the sum of coeff * polynomial over the
+    (coeff, polynomial) terms."""
     vec = {}
-    for coeff, row in terms:
-        value = _butcher(*_labelled(row), d, factor, times, plus)
-        for k, poly in enumerate(value, start=1):
-            for mono, c in poly.items():
-                key = (k, tuple((gamma, j) for _, _, gamma, j in sorted(mono)))
-                vec[key] = vec.get(key, 0) + coeff * c
+    for coeff, poly in terms:
+        for key, c in poly.items():
+            vec[key] = vec.get(key, 0) + coeff * c
     return {key: q for key, q in vec.items() if q}
+
+
+def _layer_vector(terms, d: int) -> dict:
+    """Nonzero coefficients of the combination's value at the origin as a
+    polynomial in the inputs' jet coefficients: the sum of its rows'
+    `_row_polynomial`s."""
+    return _combination((coeff, _row_polynomial(_labelled(row), d)) for coeff, row in terms)
 
 
 def certify_relation(terms, d: int) -> CertifyResult:
@@ -639,12 +663,15 @@ def _certify_block(rows, positions, d, stream):
     `MIN_BATCH_COLUMNS`) until the bounds meet, for at most `MAX_BATCHES`
     batches.  A rank that two batches agree on does not end the loop: a
     one-row block at d = 1 and bound 1 vanishes on 87 % of all tuples, so
-    two thin batches often agree on rank 0.
+    two thin batches often agree on rank 0.  Each null row's relation is
+    read off the rechecked pivot minor and checked against its rows'
+    polynomials, each built on first use and kept for later batches.
     """
     block = [rows[i] for i in positions]
     if MAX_COLUMNS < len(block):
         raise PreconditionError(
             "certified answers need a column budget of at least the block's row count")
+    poly = functools.cache(lambda r: _row_polynomial(block[r], d))  # once per row
     # 1.5 columns per row and at least MIN_BATCH_COLUMNS, in whole tuples
     batch_tuples = -(-max(3 * len(block), 2 * MIN_BATCH_COLUMNS) // (2 * d))
     total_tuples = 0
@@ -655,16 +682,23 @@ def _certify_block(rows, positions, d, stream):
         total_tuples = want
         data = build_matrix(block, d, stream, total_tuples).data
         elim = eliminate_mod(data, PRIME)
-        if not minor_is_nonsingular_mod(data, elim.pivot_rows, elim.pivot_cols, PRIME):
+        solved = minor_is_nonsingular_mod(data, elim.pivot_rows, elim.pivot_cols, PRIME)
+        if solved is None:
             raise PreconditionError("pivot minor failed its own recheck")
         relations = []
-        for pos, vec in zip(elim.null_rows, elim.null_vectors):
-            lifted = _lift_relation(vec, PRIME)
-            if lifted is None:
+        for pos in elim.null_rows:
+            # row pos minus its combination of pivot rows vanishes mod p
+            residues = dict(zip(elim.pivot_rows, map(operator.neg, solved[pos])))
+            residues[pos] = 1
+            lifted = [(r, rational_reconstruct(a, PRIME))
+                      for r, a in sorted(residues.items()) if a]
+            if any(q is None for _, q in lifted):
                 relations.append(CertifiedRelation(leading=positions[pos], coeffs=(),
                                                    verified=False))
                 continue
-            ok = certify_relation([(q, block[r]) for r, q in lifted], d).holds
+            scale = math.lcm(*(q.denominator for _, q in lifted))
+            ok = not _combination((q.numerator * (scale // q.denominator), poly(r))
+                                  for r, q in lifted)
             relations.append(CertifiedRelation(
                 leading=positions[pos], coeffs=tuple((positions[r], q) for r, q in lifted),
                 verified=ok))
@@ -673,18 +707,6 @@ def _certify_block(rows, positions, d, stream):
             break
     pivots = [(positions[r], c) for r, c in zip(elim.pivot_rows, elim.pivot_cols)]
     return elim.rank, upper, pivots, relations
-
-
-def _lift_relation(vec_mod_p, p):
-    """Sparse rational lift of a modular nullspace vector; None on failure."""
-    out = []
-    for pos, a in enumerate(vec_mod_p):
-        if a:
-            q = rational_reconstruct(a, p)
-            if q is None:
-                return None
-            out.append((pos, q))
-    return out
 
 
 # ---------------------------------------------------------------------------

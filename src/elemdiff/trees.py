@@ -94,14 +94,18 @@ def all_permutations(n: int) -> list[Permutation]:
 
 def _reaches_root(pmap: dict) -> bool:
     """True iff every vertex of a parent map walks down to the root, i.e.
-    the map has no cycle; every parent must itself be a key or ROOT."""
+    the map has no cycle; every parent must itself be a key or ROOT.  A walk
+    stops at the first vertex known to reach the root, so each vertex is
+    walked through once."""
+    reached = {ROOT}
     for v in pmap:
-        seen = set()
-        while pmap[v] != ROOT:
-            if v in seen:
+        path = set()
+        while v not in reached:
+            if v in path:
                 return False
-            seen.add(v)
+            path.add(v)
             v = pmap[v]
+        reached |= path
     return True
 
 
@@ -158,6 +162,14 @@ class Tree:
             if p != ROOT:
                 cm[p].append(v)
         return {v: tuple(sorted(ws)) for v, ws in cm.items()}
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Vertices breadth-first from the root, children ascending."""
+        order = [self.root]
+        for v in order:
+            order.extend(self.children_map[v])
+        return tuple(order)
 
     def children(self, v: int) -> tuple[int, ...]:
         return self.children_map[v]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -35,7 +36,7 @@ from elemdiff import (
     truncate,
 )
 from elemdiff.differentials import monomial_inputs_as_jets, standard_identity_terms
-from elemdiff.jets import monomial_jet, monomials_up_to
+from elemdiff.jets import Jet, monomial_jet, monomials_up_to
 
 
 def test_single_vertex_is_the_input():
@@ -54,6 +55,17 @@ def test_result_degree_is_worst_vertex():
     jets = [random_jet(rng, 2, D, 3) for _ in range(4)]
     assert eval_tree(star, jets).degree == D - 3
     assert eval_tree(chain, jets).degree == D - 1
+
+
+def test_eval_walks_a_chain_past_the_recursion_limit():
+    # each vertex of a chain reads 3 + x and differentiates it once, so the
+    # value is the leaf's 3 times 1 per vertex above it
+    n = sys.getrecursionlimit() + 1
+    chain = chain_tree(range(1, n + 1))
+    f = Jet(1, 1, [{(0,): 3, (1,): 1}])
+    out = eval_tree(chain, [f] * n)
+    assert out == Jet(1, 0, [{(0,): 3}])
+    assert eval_at_zero(out) == tree_value_at_zero(chain, [f] * n)
 
 
 def test_eval_rejects_shape_mismatch():

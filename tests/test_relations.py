@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from elemdiff.relations import (
     PRIME,
     _layer_ranks,
     _layer_vector,
+    _row_polynomial,
     exact_rank,
     in_relation_span,
     minor_is_nonsingular_mod,
@@ -180,9 +182,14 @@ def test_eliminate_mod_nullspace_annihilates():
     m = random_int_matrix(rng, 8, 5, 3)
     elim = eliminate_mod(m, p)
     assert len(elim.null_rows) == 8 - elim.rank
-    for vec in elim.null_vectors:
+    solved = minor_is_nonsingular_mod(m, elim.pivot_rows, elim.pivot_cols, p)
+    assert sorted(solved) == elim.null_rows
+    for pos in elim.null_rows:
+        # the null row minus its combination of pivot rows, on every column
+        assert len(solved[pos]) == elim.rank
         for j in range(5):
-            assert sum(vec[i] * m[i][j] for i in range(8)) % p == 0
+            combo = sum(c * m[r][j] for r, c in zip(elim.pivot_rows, solved[pos]))
+            assert (m[pos][j] - combo) % p == 0
 
 
 def test_minor_recheck():
@@ -190,11 +197,15 @@ def test_minor_recheck():
     p = PRIME
     m = random_int_matrix(rng, 6, 6, 4)
     elim = eliminate_mod(m, p)
-    assert minor_is_nonsingular_mod(m, elim.pivot_rows, elim.pivot_cols, p)
+    solved = minor_is_nonsingular_mod(m, elim.pivot_rows, elim.pivot_cols, p)
+    assert sorted(solved) == elim.null_rows
+    assert all(len(coeffs) == elim.rank for coeffs in solved.values())
+    # a full-rank matrix has no other rows: nothing to solve, but not None
+    assert minor_is_nonsingular_mod([[2, 1], [1, 1]], [0, 1], [0, 1], p) == {}
     # a deliberately dependent row choice fails
     if elim.rank >= 2:
         bad_rows = [elim.pivot_rows[0]] * 2 + list(elim.pivot_rows[2:])
-        assert not minor_is_nonsingular_mod(m, bad_rows, elim.pivot_cols, p)
+        assert minor_is_nonsingular_mod(m, bad_rows, elim.pivot_cols, p) is None
 
 
 def test_rational_reconstruct_round_trip():
@@ -464,15 +475,57 @@ def test_dimension_d1_sees_only_arities():
     assert all(rel.verified for rel in cert.relations)
 
 
+def test_certificate_builds_each_row_polynomial_once(monkeypatch):
+    # dim w --dim 1 --n 5 verifies 555 relations, most of them sharing rows
+    built = collections.Counter()
+
+    def counted(row, d):
+        built[row] += 1
+        return _row_polynomial(row, d)
+
+    monkeypatch.setattr("elemdiff.relations._row_polynomial", counted)
+    cert = dimension_w(1, 5, config=CFG)
+    assert cert.dimension == 70
+    assert len(cert.relations) == 555 and all(r.verified for r in cert.relations)
+    assert built and max(built.values()) == 1
+    assert sum(built.values()) < sum(len(r.coeffs) for r in cert.relations)
+
+
+def _exact_inverse(square):
+    """Inverse of a nonsingular integer matrix over Q, by Gauss-Jordan."""
+    k = len(square)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(square)]
+    for i in range(k):
+        piv = next(r for r in range(i, k) if a[r][i])
+        a[i], a[piv] = a[piv], a[i]
+        a[i] = [x / a[i][i] for x in a[i]]
+        for r in range(k):
+            if r != i and a[r][i]:
+                f = a[r][i]
+                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return [row[k:] for row in a]
+
+
 def _single_matrix_route(rows, d, seed):
     """The route before blocks: one matrix over all rows, one elimination
-    modulo PRIME, and a rational lift of every nullspace vector."""
+    modulo PRIME, and each null row's relation solved over Q against the
+    pivot rows on the pivot columns, then checked on every column."""
     tuples = -(-3 * len(rows) // d)  # twice the old first batch
     data = build_matrix(rows, d, JetStream(seed), tuples).data
     elim = eliminate_mod(data, PRIME)
-    relations = [(pos, tuple((r, rational_reconstruct(a, PRIME))
-                             for r, a in enumerate(vec) if a))
-                 for pos, vec in zip(elim.null_rows, elim.null_vectors)]
+    if not elim.null_rows:
+        return tuple(elim.pivot_rows), []
+    inverse = _exact_inverse([[data[r][c] for c in elim.pivot_cols] for r in elim.pivot_rows])
+    relations = []
+    for pos in elim.null_rows:
+        # data[pos] = sum_i coeffs[i] * data[pivot_rows[i]] on the pivot columns
+        coeffs = [sum(data[pos][c] * inverse[j][i] for j, c in enumerate(elim.pivot_cols))
+                  for i in range(elim.rank)]
+        vec = {pos: Fraction(1), **{r: -q for r, q in zip(elim.pivot_rows, coeffs)}}
+        assert not any(sum(q * data[r][c] for r, q in vec.items())
+                       for c in range(len(data[0])))
+        relations.append((pos, tuple(sorted((r, q) for r, q in vec.items() if q))))
     return tuple(elim.pivot_rows), relations
 
 

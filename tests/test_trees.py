@@ -22,6 +22,7 @@ from elemdiff import (
     subtree_above,
 )
 from elemdiff.multiindex import project_arities
+from elemdiff.trees import _reaches_root
 
 # Cayley: n^(n-1) labelled rooted trees on n vertices.
 TREE_COUNTS = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
@@ -67,6 +68,40 @@ def test_tree_validation():
         Tree.from_parents([0, 5])  # parent not a vertex
     with pytest.raises(PreconditionError):
         Tree(((2, 0), (1, 2)))  # unsorted entries
+
+
+class _CountingMap(dict):
+    """A parent map that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return super().__getitem__(v)
+
+
+def test_reaches_root_walks_each_vertex_once():
+    # a chain listed leaf first: a walk from each vertex down to the root
+    # takes quadratically many lookups in all; stopping where an earlier
+    # walk reached the root takes one per vertex
+    n = 2000
+    chain = _CountingMap({v: v - 1 for v in range(n, 0, -1)})
+    assert _reaches_root(chain)
+    assert chain.lookups == n
+    assert not _reaches_root({1: 0, 2: 3, 3: 4, 4: 2})  # a cycle off the root
+    assert not _reaches_root({1: 0, 2: 1, 3: 3})        # a self-loop
+    assert _reaches_root({3: 1, 2: 1, 1: 0, 4: 3})
+
+
+def test_order_is_breadth_first_with_children_ascending():
+    t = Tree.from_parents([3, 0, 2, 2, 1, 3])
+    assert t.order == (2, 3, 4, 1, 6, 5)
+    for t in enumerate_trees(4):
+        level, want = [t.root], []
+        while level:  # level by level, each vertex's children ascending
+            want += level
+            level = [c for v in level for c in sorted(c for c, p in t.entries if p == v)]
+        assert t.order == tuple(want)
 
 
 def test_children_sorted_and_consistent():
