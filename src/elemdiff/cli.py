@@ -23,8 +23,8 @@ from .groups import (character_table, conjugacy_classes, constraint_scan,
 from .jets import Jet
 from .labelling import enumerate_labelled
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
-from .relations import (MAX_ROW_VERTICES, block_basis, certify_relation,
-                        dimension_labelled, dimension_w)
+from .relations import (block_basis, certify_relation, dimension_labelled,
+                        dimension_w)
 from .trees import Tree, enumerate_trees
 
 
@@ -52,8 +52,7 @@ def _is_int(x) -> bool:
 
 
 def _load_relation(path: str):
-    """(d, terms) from a relation file; a malformed file is a PreconditionError,
-    a tree over `MAX_ROW_VERTICES` a SizeLimitError."""
+    """(d, terms) from a relation file; a malformed file is a PreconditionError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not (isinstance(raw, dict) and _is_int(raw.get("d"))
@@ -73,8 +72,6 @@ def _load_relation(path: str):
             coeff = Fraction(str(item["coeff"]))
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"bad coefficient {item['coeff']!r}")
-        if len(tree) > MAX_ROW_VERTICES:
-            raise SizeLimitError(f"{len(tree)} vertices per row exceed {MAX_ROW_VERTICES}")
         tree = Tree.from_parents(tree)
         if labels is not None and (len(labels) != tree.size
                                    or set(labels) != set(range(1, max(labels) + 1))):
@@ -179,33 +176,25 @@ def _cmd_dim_w(args, config):
     return _json_artifact(payload)
 
 
+def _certify_payload(terms, d: int) -> dict:
+    """The `holds`, `tuplesChecked` and `witness` fields of one exact check."""
+    result = certify_relation(terms, d)
+    return {"holds": result.holds, "tuplesChecked": result.tuples_checked,
+            "witness": result.witness.to_json_dict() if result.witness else None}
+
+
 def _cmd_identity_s2d(args, config):
     if args.dim > 2:
         raise SizeLimitError("the alternating identity is desk scale for d <= 2")
     check_dim = args.check_dim if args.check_dim is not None else args.dim
     terms = standard_identity_tree_terms(args.dim)
-    result = certify_relation(terms, check_dim)
-    payload = {
-        "arity": 2 * args.dim + 1,
-        "identityDim": args.dim,
-        "checkDim": check_dim,
-        "holds": result.holds,
-        "tuplesChecked": result.tuples_checked,
-        "witness": result.witness.to_json_dict() if result.witness else None,
-    }
-    return _json_artifact(payload)
+    return _json_artifact({"arity": 2 * args.dim + 1, "identityDim": args.dim,
+                           "checkDim": check_dim, **_certify_payload(terms, check_dim)})
 
 
 def _cmd_identity_certify(args, config):
     d, terms = _load_relation(args.relation)
-    result = certify_relation(terms, d)
-    payload = {
-        "d": d,
-        "holds": result.holds,
-        "tuplesChecked": result.tuples_checked,
-        "witness": result.witness.to_json_dict() if result.witness else None,
-    }
-    return _json_artifact(payload)
+    return _json_artifact({"d": d, **_certify_payload(terms, d)})
 
 
 def _cmd_char_table(args, config):
@@ -257,7 +246,7 @@ def _cmd_block_basis(args, config):
         "orbit": args.mi_orbit,
         "blocks": [b.to_json_dict() for b in blocks],
         "totalDimension": (sum(b.dimension for b in blocks)
-                           if all(b.status == "certified" for b in blocks) else None),
+                           if all(b.certified for b in blocks) else None),
     })
 
 

@@ -15,9 +15,10 @@ Soundness layout:
     polynomials vanishes.  The columns and those polynomials come from one
     Butcher recursion (`_butcher`), over integer lists and over sparse
     polynomials;
-  * upper bound = rows - verified independent relations.  The two bounds
-    either meet ("certified") or the result is reported inconclusive; a
-    wrong number is never emitted.
+  * upper bound = rows - verified independent relations.  `_Bounds` states
+    the one status rule: certified iff the two bounds meet, and then the
+    dimension is their common value; otherwise it is inconclusive, with no
+    dimension.  A wrong number is never emitted.
 
 Block lemma: the monomial of a component assignment js names, for each
 input, the multiset of (gamma_v, js_v) over the vertices v reading it, and
@@ -26,8 +27,10 @@ the sorted arities of its vertices; a plain tree is the row whose n
 vertices read n distinct colours) have disjoint layer-vector supports.  The
 span is the direct sum of its blocks: ranks add, every relation splits into
 one relation per block, and a row is independent of the rows before it iff
-it is so within its block.  `dimension_certificate` therefore certifies
-block by block and adds the bounds.
+it is so within its block.  A certificate is therefore the sum of its
+blocks' records (`BlockCertificate`: bounds, pivots and relations, each
+certified on its own): its bounds are their sums, and its pivots and
+relations their union.
 """
 
 from __future__ import annotations
@@ -169,25 +172,23 @@ def _butcher(tree: Tree, labels, d: int, factor, times, plus) -> list:
     the children's values in components js, where gamma counts js per
     component and factor stands for gamma! [x^gamma] f_label(k); so a vertex
     with m children costs d^(m+1) products.  A leaf's value is its factors.
-    `plus` may reuse its first argument, always a fresh product."""
-
-    children = tree.children_map
-
-    def value(v):
-        label, kids = labels[v - 1], list(map(value, children[v]))
+    `plus` may reuse its first argument, always a fresh product.  It walks
+    `Tree.order` backwards, with no recursion."""
+    values = {}
+    for v in reversed(tree.order):
+        label, kids = labels[v - 1], [values.pop(c) for c in tree.children(v)]
         if not kids:
             gamma = (0,) * d  # shared by d memo keys, not d tuples of length d
-            return [factor(label, k, gamma) for k in range(1, d + 1)]
-        out = [None] * d
+            values[v] = [factor(label, k, gamma) for k in range(1, d + 1)]
+            continue
+        out = values[v] = [None] * d
         for js in itertools.product(range(d), repeat=len(kids)):
             gamma = tuple(map(js.count, range(d)))
             below = functools.reduce(times, map(operator.getitem, kids, js))
             for k in range(d):
                 term = times(factor(label, k + 1, gamma), below)
                 out[k] = term if out[k] is None else plus(out[k], term)
-        return out
-
-    return value(tree.root)
+    return values[tree.root]
 
 
 def _column_entries(rows, tuples, d):
@@ -550,21 +551,35 @@ class CertifiedRelation:
         }
 
 
+class _Bounds:
+    """The status rule of anything with a `lower` and an `upper` bound."""
+
+    @property
+    def certified(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def status(self) -> str:
+        return "certified" if self.certified else "inconclusive"
+
+    @property
+    def dimension(self) -> Optional[int]:
+        return self.lower if self.certified else None
+
+
 @dataclass(frozen=True)
-class BlockBounds:
+class BlockCertificate(_Bounds):
     key: tuple                        # the block's `_block_key`
     lower: int
     upper: int
-    pivot_rows: tuple                 # global positions of its pivot rows, ascending
+    pivots: tuple                     # (global row position, column in the block), ascending
+    relations: tuple                  # CertifiedRelation, global row positions
 
 
 @dataclass
-class DimensionCertificate:
-    status: str                       # "certified" | "inconclusive"
-    dimension: Optional[int]
+class DimensionCertificate(_Bounds):
     lower: int
     upper: int
-    rank: int
     minor_rows: tuple
     minor_cols: tuple                 # each pivot row's column in its block's matrix
     relations: tuple                  # CertifiedRelation, echelon leadings
@@ -573,11 +588,11 @@ class DimensionCertificate:
     scheme: dict
     columns: int                      # d x the jet tuples the widest block read
     row_count: int
-    block_bounds: tuple               # BlockBounds, blocks in order of first row
+    block_bounds: tuple               # BlockCertificate, blocks in order of first row
 
     @property
-    def certified(self) -> bool:
-        return self.status == "certified"
+    def rank(self) -> int:
+        return self.lower
 
     @property
     def blocks(self) -> int:
@@ -622,42 +637,32 @@ def dimension_certificate(rows: Sequence, d: int,
 
     Each `_block_key` block is certified on its own (the module docstring's
     block lemma), on a prefix of one jet stream, so column c names the same
-    (tuple, component) in every block.  The bounds are the blocks' sums, so
-    they meet iff every block's do; pivots and relations keep their global
-    row positions, and each pivot's column is its column in its own block.
-    `block_bounds` keeps each block's bounds and pivot rows.
+    (tuple, component) in every block.  The certificate sums the blocks'
+    records, kept in `block_bounds`: the bounds are their sums, so they
+    meet iff every block's do, and the pivots and relations their union, in
+    global row positions, with each pivot's column its column in its block.
     """
     _check_dimension(d)
     rows = tuple(_labelled(row) for row in rows)
     n, _, _ = _rows_shape(rows)
     _check_assignments(d, n)
     stream = JetStream(config.seed, config.random_bound)
-    bounds, pivots, relations = [], [], []
-    for key, positions in _blocks(rows).items():
-        block_lower, block_upper, block_pivots, block_relations = _certify_block(
-            rows, positions, d, stream)
-        bounds.append(BlockBounds(key=key, lower=block_lower, upper=block_upper,
-                                  pivot_rows=tuple(r for r, _ in block_pivots)))
-        pivots += block_pivots
-        relations += block_relations
-    lower = sum(b.lower for b in bounds)
-    upper = sum(b.upper for b in bounds)
-    pivots.sort()
-    relations.sort(key=lambda r: r.leading)
+    records = tuple(_certify_block(rows, key, positions, d, stream)
+                    for key, positions in _blocks(rows).items())
+    pivots = sorted(p for b in records for p in b.pivots)
+    relations = sorted((r for b in records for r in b.relations),
+                       key=operator.attrgetter("leading"))
     return DimensionCertificate(
-        status="certified" if lower == upper else "inconclusive",
-        dimension=lower if lower == upper else None,
-        lower=lower, upper=upper, rank=lower,
+        lower=sum(b.lower for b in records), upper=sum(b.upper for b in records),
         minor_rows=tuple(r for r, _ in pivots), minor_cols=tuple(c for _, c in pivots),
         relations=tuple(relations), prime=PRIME, seed=stream.seed,
         scheme=stream.describe(), columns=len(stream) * d, row_count=len(rows),
-        block_bounds=tuple(bounds),
+        block_bounds=records,
     )
 
 
-def _certify_block(rows, positions, d, stream):
-    """(lower, upper, pivots, relations) of the block of `rows` at
-    `positions`, with pivots as (row position, column) pairs.
+def _certify_block(rows, key, positions, d, stream) -> BlockCertificate:
+    """The record of the block `key` of `rows`, at `positions`.
 
     Columns grow in batches (1.5x the row count, and at least
     `MIN_BATCH_COLUMNS`) until the bounds meet, for at most `MAX_BATCHES`
@@ -705,8 +710,9 @@ def _certify_block(rows, positions, d, stream):
         upper = len(block) - sum(r.verified for r in relations)
         if elim.rank == upper:
             break
-    pivots = [(positions[r], c) for r, c in zip(elim.pivot_rows, elim.pivot_cols)]
-    return elim.rank, upper, pivots, relations
+    pivots = tuple((positions[r], c) for r, c in zip(elim.pivot_rows, elim.pivot_cols))
+    return BlockCertificate(key=key, lower=elim.rank, upper=upper, pivots=pivots,
+                            relations=tuple(relations))
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +806,9 @@ def trace_on_span(rows: Sequence, sigma: Permutation, d: int,
     if not certificate.certified:
         raise PreconditionError("trace needs a certified span")
     position = {row: i for i, row in enumerate(rows)}
-    for row in rows:
-        if relabel(row, sigma) not in position:
-            raise SpanInstabilityError("relabelled row left the row set")
+    image = [position.get(relabel(row, sigma)) for row in rows]
+    if None in image:
+        raise SpanInstabilityError("relabelled row left the row set")
     expansions = {}
     for rel in certificate.relations:
         if not rel.verified:
@@ -812,7 +818,7 @@ def trace_on_span(rows: Sequence, sigma: Permutation, d: int,
     basis = [i for i in range(len(rows)) if i not in expansions]
     trace = Fraction(0)
     for b in basis:
-        j = position[relabel(rows[b], sigma)]
+        j = image[b]
         if j == b:
             trace += 1
         elif j in expansions:
@@ -824,10 +830,8 @@ def trace_on_span(rows: Sequence, sigma: Permutation, d: int,
 # block decomposition by arity multi-index
 
 @dataclass(frozen=True)
-class Block:
+class Block(_Bounds):
     mi: MultiIndex
-    status: str                 # "certified" | "inconclusive": do its bounds meet
-    dimension: Optional[int]    # None unless certified
     lower: int
     upper: int
     basis: tuple                # trees: the block's pivot rows
@@ -859,13 +863,10 @@ def block_basis(d: int, n: int, orbit_code: str,
         raise PreconditionError(f"no multi-index matches orbit {orbit_code!r}")
     rows = [t for t in enumerate_trees(n)
             if project_arities(t).orbit_code() == orbit_code]
-    cert = dimension_certificate(rows, d, config)
-    bounds = {b.key: b for b in cert.block_bounds}
+    records = {b.key: b for b in dimension_certificate(rows, d, config).block_bounds}
     out = []
     for m in mis:
-        b = bounds[tuple((a,) for a in m.arities)]
-        certified = b.lower == b.upper
-        out.append(Block(mi=m, status="certified" if certified else "inconclusive",
-                         dimension=b.lower if certified else None, lower=b.lower,
-                         upper=b.upper, basis=tuple(rows[i] for i in b.pivot_rows)))
+        b = records[tuple((a,) for a in m.arities)]
+        out.append(Block(mi=m, lower=b.lower, upper=b.upper,
+                         basis=tuple(rows[r] for r, _ in b.pivots)))
     return out

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -274,7 +275,7 @@ def test_identity_certify_repeated_colour(capsys, tmp_path):
 def test_identity_certify_guard(capsys, tmp_path):
     wide = {"d": 40, "terms": [{"coeff": "1", "tree": [0, 1, 1]},
                                {"coeff": "-1", "tree": [0, 1, 2]}]}
-    # one vertex over the bound at d = 1, refused before a Tree is built
+    # one vertex over the bound at d = 1, refused before any polynomial work
     long = {"d": 1, "terms": [{"coeff": "1", "tree": list(range(MAX_ROW_VERTICES + 1))}]}
     for rel in (wide, long):
         path = tmp_path / "rel.json"
@@ -382,8 +383,8 @@ def test_block_basis_inconclusive_block_nulls_the_total(capsys, monkeypatch):
     real = relations._certify_block
 
     def inconclusive(*args):
-        lower, _upper, pivots, block_relations = real(*args)
-        return lower, lower + 1, pivots, block_relations
+        record = real(*args)
+        return dataclasses.replace(record, upper=record.lower + 1)
 
     monkeypatch.setattr(relations, "_certify_block", inconclusive)
     code, out, _ = run_cli(capsys, "block", "basis", "--dim", "1", "--n", "3",
@@ -396,6 +397,30 @@ def test_block_basis_inconclusive_block_nulls_the_total(capsys, monkeypatch):
         assert b["dimension"] is None
         assert (b["lower"], b["upper"]) == (1, 2)
         assert len(b["basis"]) == 1
+
+
+def test_dim_w_inconclusive_block_makes_an_inconclusive_artifact(capsys, monkeypatch):
+    from elemdiff import relations
+    real = relations._certify_block
+    records = []
+
+    def one_block_apart(*args):
+        record = real(*args)
+        if not records:
+            record = dataclasses.replace(record, upper=record.upper + 1)
+        records.append(record)
+        return record
+
+    monkeypatch.setattr(relations, "_certify_block", one_block_apart)
+    code, out, _ = run_cli(capsys, "dim", "w", "--dim", "1", "--n", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(records) == payload["blocks"] > 1
+    assert payload["status"] == "inconclusive"
+    assert payload["dimension"] is None
+    assert payload["certified"] is False
+    assert payload["rank"] == payload["lower"] == sum(r.lower for r in records)
+    assert payload["upper"] == sum(r.upper for r in records) == payload["lower"] + 1
 
 
 def test_artifacts_are_byte_identical(capsys):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,8 @@ from elemdiff import (
 from elemdiff.relations import (
     MAX_ROW_VERTICES,
     PRIME,
+    _block_key,
+    _labelled,
     _layer_ranks,
     _layer_vector,
     _row_polynomial,
@@ -93,6 +96,16 @@ def test_batched_and_exact_entry_paths_agree():
         for r in range(len(m.rows)):
             for c in range(m.ncols):
                 assert m.check_entry(r, c)
+
+
+def test_build_matrix_walks_a_chain_past_the_recursion_limit():
+    # one colour on every vertex: the chain's value at the origin is
+    # f'(0)^(n-1) f(0) = a_1^(n-1) a_0 of the tuple's one jet
+    n = sys.getrecursionlimit() + 1
+    m = build_matrix([(chain_tree(range(1, n + 1)), (1,) * n)], 1, JetStream(0), 3)
+    for c, (jet,) in enumerate(m.tuples):
+        assert m.data[0][c] == jet.coeff((1,)) ** (n - 1) * jet.coeff((0,))
+        assert m.check_entry(0, c)
 
 
 def test_build_matrix_reads_a_shared_stream():
@@ -559,6 +572,31 @@ def test_block_ranks_add_to_the_stacked_rank(d, n):
     assert cert.blocks == len(by_arity)
     stacked = build_matrix(rows, d, JetStream(0), -(-3 * len(rows) // d))
     assert sum(ranks) == cert.rank == exact_rank(stacked)[0] == cert.dimension
+
+
+@pytest.mark.parametrize("d,n,profile", [(1, 4, None), (2, 4, None), (1, 4, (2, 1, 1))],
+                         ids=_profile_id)
+def test_block_records_partition_the_certificate(d, n, profile):
+    # the certificate is the sum of its blocks' records: bounds add, the
+    # records' pivots are the minor, and each relation lies in one block
+    rows, _, _ = _rows_of(d, n, profile)
+    cert = dimension_certificate(rows, d, CFG)
+    keys = [_block_key(_labelled(row)) for row in rows]
+    records = cert.block_bounds
+    assert len({r.key for r in records}) == len(records) == cert.blocks
+    assert (cert.lower, cert.upper) == (sum(r.lower for r in records),
+                                        sum(r.upper for r in records))
+    assert sorted(p for r in records for p in r.pivots) == list(
+        zip(cert.minor_rows, cert.minor_cols))
+    assert len(cert.relations) == len(rows) - cert.upper  # 0 at d = 2, n = 4
+    for rel in cert.relations:
+        holders = [r for r in records if rel in r.relations]
+        assert len(holders) == 1
+        assert {keys[rel.leading], *(keys[pos] for pos, _ in rel.coeffs)} == {holders[0].key}
+    assert sum(len(r.relations) for r in records) == len(cert.relations)
+    for record in records:
+        assert all(keys[pos] == record.key for pos, _ in record.pivots)
+        assert record.certified and record.dimension == len(record.pivots)
 
 
 def test_dimension_guard():
