@@ -26,8 +26,8 @@ from .relations import (Block, CertifiedRelation, CertifyResult,
                         DimensionCertificate, EvalMatrix, JetStream,
                         block_basis, build_matrix, certify_relation,
                         dimension_certificate, dimension_labelled,
-                        dimension_w, eliminate_mod, nullspace_relations,
-                        rational_reconstruct, span_rows, trace_on_span)
+                        dimension_w, eliminate_mod, rational_reconstruct,
+                        span_rows, trace_on_span)
 from .groups import (CharacterRow, ConjugacyClass, ScanReport, SubgroupClass,
                      character_table, conjugacy_classes, constraint_scan,
                      coset_character, point_stabilizer_class,

@@ -184,8 +184,8 @@ def _certify_payload(terms, d: int) -> dict:
 
 
 def _cmd_identity_s2d(args, config):
-    if args.dim > 2:
-        raise SizeLimitError("the alternating identity is desk scale for d <= 2")
+    if args.dim > 3:
+        raise SizeLimitError("the alternating identity is desk scale for d <= 3")
     check_dim = args.check_dim if args.check_dim is not None else args.dim
     terms = standard_identity_tree_terms(args.dim)
     return _json_artifact({"arity": 2 * args.dim + 1, "identityDim": args.dim,

@@ -576,23 +576,26 @@ class BlockCertificate(_Bounds):
     relations: tuple                  # CertifiedRelation, global row positions
 
 
-@dataclass
+@dataclass(frozen=True)
 class DimensionCertificate(_Bounds):
+    rows: tuple                       # the (tree, labels) rows certified, in input order
+    d: int
     lower: int
     upper: int
     minor_rows: tuple
     minor_cols: tuple                 # each pivot row's column in its block's matrix
     relations: tuple                  # CertifiedRelation, echelon leadings
-    prime: int
-    seed: int
     scheme: dict
-    columns: int                      # d x the jet tuples the widest block read
-    row_count: int
     block_bounds: tuple               # BlockCertificate, blocks in order of first row
 
     @property
     def rank(self) -> int:
         return self.lower
+
+    @property
+    def columns(self) -> int:
+        """d x the jet tuples the widest block read."""
+        return self.scheme["tuples"] * self.d
 
     @property
     def blocks(self) -> int:
@@ -609,11 +612,11 @@ class DimensionCertificate(_Bounds):
             "minorRows": list(self.minor_rows),
             "minorCols": list(self.minor_cols),
             "relations": [r.to_json_dict() for r in self.relations],
-            "prime": self.prime,
-            "seed": self.seed,
+            "prime": PRIME,
+            "seed": self.scheme["seed"],
             "scheme": self.scheme,
             "columns": self.columns,
-            "rows": self.row_count,
+            "rows": len(self.rows),
             "blocks": self.blocks,
         }
 
@@ -641,6 +644,8 @@ def dimension_certificate(rows: Sequence, d: int,
     records, kept in `block_bounds`: the bounds are their sums, so they
     meet iff every block's do, and the pivots and relations their union, in
     global row positions, with each pivot's column its column in its block.
+    It also records the rows, as (tree, labels) pairs, and d: the span it
+    certifies.
     """
     _check_dimension(d)
     rows = tuple(_labelled(row) for row in rows)
@@ -653,11 +658,10 @@ def dimension_certificate(rows: Sequence, d: int,
     relations = sorted((r for b in records for r in b.relations),
                        key=operator.attrgetter("leading"))
     return DimensionCertificate(
+        rows=rows, d=d,
         lower=sum(b.lower for b in records), upper=sum(b.upper for b in records),
         minor_rows=tuple(r for r, _ in pivots), minor_cols=tuple(c for _, c in pivots),
-        relations=tuple(relations), prime=PRIME, seed=stream.seed,
-        scheme=stream.describe(), columns=len(stream) * d, row_count=len(rows),
-        block_bounds=records,
+        relations=tuple(relations), scheme=stream.describe(), block_bounds=records,
     )
 
 
@@ -754,14 +758,6 @@ def dimension_labelled(d: int, n: int, multiplicities,
     return dimension_certificate([(o.tree, o.labels) for o in reps], d, config)
 
 
-def nullspace_relations(rows: Sequence, d: int, config: RunConfig):
-    """Certified relation basis of the rows' span (may be empty)."""
-    cert = dimension_certificate(rows, d, config)
-    if not cert.certified:
-        raise PreconditionError("nullspace request did not certify; grow the budget")
-    return [r for r in cert.relations if r.verified], cert
-
-
 def relation_vector(rel: CertifiedRelation, nrows: int):
     v = [Fraction(0)] * nrows
     for pos, q in rel.coeffs:
@@ -788,33 +784,27 @@ def in_relation_span(vector, relations) -> bool:
 # ---------------------------------------------------------------------------
 # traces of the relabelling action on a span
 
-def trace_on_span(rows: Sequence, sigma: Permutation, d: int,
-                  certificate: Optional[DimensionCertificate] = None,
-                  config: Optional[RunConfig] = None) -> Fraction:
-    """Trace of the induced action of sigma on the span of the rows.
+def trace_on_span(certificate: DimensionCertificate, sigma: Permutation) -> Fraction:
+    """Trace of the induced action of sigma on the span the certificate
+    certified, read off the certificate alone.
 
-    Basis: rows that are not eliminated by a certified relation.  A permuted
-    basis row is again a row (exact set check); if it lands on an eliminated
-    row its expansion is read straight off that relation.
+    Basis: rows that are not eliminated by a relation; a certified
+    certificate verified every one.  A permuted basis row is again a row
+    (exact set check); if it lands on an eliminated row its expansion is
+    read straight off that relation.
     """
-    rows = tuple(rows)
-    for row in rows:
-        if isinstance(row, tuple):
-            raise PreconditionError("traces are defined for plain tree rows")
-    if certificate is None:
-        certificate = dimension_certificate(rows, d, config or RunConfig())
     if not certificate.certified:
         raise PreconditionError("trace needs a certified span")
+    if any(row != _labelled(row[0]) for row in certificate.rows):
+        raise PreconditionError("traces are defined for plain tree rows")
+    rows = [tree for tree, _ in certificate.rows]
     position = {row: i for i, row in enumerate(rows)}
     image = [position.get(relabel(row, sigma)) for row in rows]
     if None in image:
         raise SpanInstabilityError("relabelled row left the row set")
-    expansions = {}
-    for rel in certificate.relations:
-        if not rel.verified:
-            continue
-        # row_lead = -sum of the other coefficients times their rows
-        expansions[rel.leading] = {pos: -q for pos, q in rel.coeffs if pos != rel.leading}
+    # row_lead = -sum of the other coefficients times their rows
+    expansions = {rel.leading: {pos: -q for pos, q in rel.coeffs if pos != rel.leading}
+                  for rel in certificate.relations}
     basis = [i for i in range(len(rows)) if i not in expansions]
     trace = Fraction(0)
     for b in basis:

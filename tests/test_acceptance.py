@@ -165,8 +165,7 @@ def test_criterion_05_character_table_reference_values(full_span_5):
     got_inf = tree_fixed_character(5).values
     got_v = sign_natural_character(2).values
     got_2 = reduced_tree_character(2).values
-    cross = trace_on_span(rows, Permutation.from_cycles(5, (1, 2, 3)), 2,
-                          certificate=cert)
+    cross = trace_on_span(cert, Permutation.from_cycles(5, (1, 2, 3)))
 
     # The stated (12)(34) entries are errata.  Burnside: the class-size
     # weighted fixed-point counts sum to 5! times the 9 unlabelled rooted
@@ -178,8 +177,7 @@ def test_criterion_05_character_table_reference_values(full_span_5):
     burnside_double, remainder = divmod(math.factorial(5) * 9 - others,
                                         classes[i_double].size)
     # the difference-row entry, read off the certified span itself
-    trace_double = trace_on_span(rows, Permutation.from_cycles(5, (1, 2), (3, 4)),
-                                 2, certificate=cert)
+    trace_double = trace_on_span(cert, Permutation.from_cycles(5, (1, 2), (3, 4)))
     agree = [i for i in range(len(classes)) if i != i_double]
 
     ok = (cross == 2 == got_2[2] and got_v == stated_v
@@ -207,10 +205,10 @@ def test_criterion_05_character_table_reference_values(full_span_5):
 def test_criterion_06_linear_span_trace(linear_span_5):
     rows, cert = linear_span_5
     three_cycle = Permutation.from_cycles(5, (1, 2, 3))
-    tr3 = trace_on_span(rows, three_cycle, 2, certificate=cert)
-    tr_id = trace_on_span(rows, Permutation.identity(5), 2, certificate=cert)
+    tr3 = trace_on_span(cert, three_cycle)
+    tr_id = trace_on_span(cert, Permutation.identity(5))
     five_cycle = Permutation.from_cycles(5, (1, 2, 3, 4, 5))
-    tr5 = trace_on_span(rows, five_cycle, 2, certificate=cert)
+    tr5 = trace_on_span(cert, five_cycle)
     ok = cert.certified and cert.dimension == 115 and tr3 == -2 and tr_id == 115
     verdict(6, ok, f"dim={cert.dimension} trace(123)={tr3} "
             f"trace(id)={tr_id} trace(12345)={tr5}")

@@ -224,8 +224,22 @@ def test_help_still_exits_zero(capsys):
 
 
 def test_identity_s2d_guard(capsys):
-    code, _, err = run_cli(capsys, "identity", "s2d", "--dim", "3")
+    code, _, err = run_cli(capsys, "identity", "s2d", "--dim", "4")
     assert code == 2
+    assert json.loads(err)["error"]["type"] == "SizeLimitError"
+
+
+def test_identity_s2d_dim_3_checks_in_one_and_four_variables(capsys):
+    # arity 7: at d = 1 the layer spreads degree 6 over 7 inputs, C(12, 6) = 924
+    # ways; 4 ** 7 = 16,384 component assignments exceed 4,096
+    code, out, _ = run_cli(capsys, "identity", "s2d", "--dim", "3", "--check-dim", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] is True
+    assert payload["tuplesChecked"] == 924
+    code, out, err = run_cli(capsys, "identity", "s2d", "--dim", "3", "--check-dim", "4")
+    assert code == 2
+    assert out == ""
     assert json.loads(err)["error"]["type"] == "SizeLimitError"
 
 

@@ -274,14 +274,14 @@ def test_dimension_single_colour():
     # one colour: rows are the unlabelled shapes
     cert = dimension_labelled(2, 3, (3,), config=CFG)
     assert cert.certified
-    assert cert.row_count == 2
+    assert len(cert.rows) == 2
     assert cert.dimension == 2
 
 
 def test_dimension_repeated_colour_collapses_in_one_variable():
     cert = dimension_labelled(1, 3, (2, 1), config=CFG)
     assert cert.certified
-    assert cert.row_count == 5
+    assert len(cert.rows) == 5
     assert cert.dimension == 4
     cert2 = dimension_labelled(2, 3, (2, 1), config=CFG)
     assert cert2.certified

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import random
 import sys
@@ -20,6 +21,7 @@ from elemdiff import (
     certify_relation,
     chain_tree,
     dimension_certificate,
+    dimension_labelled,
     dimension_w,
     eliminate_mod,
     enumerate_multi_indices,
@@ -27,7 +29,6 @@ from elemdiff import (
     enumerate_trees,
     monomial_term,
     monomials_up_to,
-    nullspace_relations,
     project_arities,
     random_jet_tuple,
     rational_reconstruct,
@@ -478,6 +479,24 @@ def test_dimension_certificate_json_shape():
     assert obj["blocks"] == 6  # the arity vectors of three vertices
 
 
+def test_certificate_records_its_rows_and_d():
+    # plain trees and labelled pairs, in input order, normalised to pairs
+    plain = span_rows(3)[::-1]
+    pairs = [(t, (1, 1, 2)) for t in plain[:2]]
+    for rows, d in ((plain, 2), (pairs, 1)):
+        cert = dimension_certificate(rows, d, RunConfig(seed=5))
+        assert cert.rows == tuple(_labelled(row) for row in rows)
+        assert cert.d == d
+        assert cert.columns == cert.scheme["tuples"] * cert.d
+        obj = cert.to_json_dict()
+        assert obj["rows"] == len(cert.rows)
+        assert obj["seed"] == cert.scheme["seed"] == 5
+        assert obj["prime"] == PRIME == 2**61 - 1
+        assert obj["columns"] == cert.columns
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.d = d + 1
+
+
 def test_dimension_d1_sees_only_arities():
     # 9 trees on 3 vertices collapse onto the 6 arity vectors
     assert dimension_w(1, 3, config=CFG).dimension == 6
@@ -627,7 +646,8 @@ def test_linear_span_n3_has_no_relations_in_two_variables():
 
 def test_nullspace_relations_reduce_to_zero():
     rows = span_rows(4)
-    rels, cert = nullspace_relations(rows, 1, CFG)
+    cert = dimension_certificate(rows, 1, CFG)
+    rels = cert.relations
     assert cert.certified
     assert len(rels) == 44
     nrows = len(rows)
@@ -643,7 +663,9 @@ def test_nullspace_relations_reduce_to_zero():
 
 def test_relation_leading_structure():
     rows = span_rows(4)
-    rels, _ = nullspace_relations(rows, 1, CFG)
+    cert = dimension_certificate(rows, 1, CFG)
+    assert cert.certified
+    rels = cert.relations
     leadings = [rel.leading for rel in rels]
     assert len(set(leadings)) == len(leadings)  # echelon: distinct leading rows
     for rel in rels:
@@ -656,20 +678,54 @@ def test_relation_leading_structure():
 
 def test_trace_identity_is_dimension():
     rows = span_rows(3)
-    assert trace_on_span(rows, Permutation.identity(3), 2, config=CFG) == 9
+    assert trace_on_span(dimension_certificate(rows, 2, CFG), Permutation.identity(3)) == 9
 
 
 def test_trace_transposition_counts_fixed_trees():
     # no relations at n=3, d=2, so the trace counts relabel-fixed basis rows
     rows = span_rows(3)
     s = Permutation.from_cycles(3, (1, 2))
-    assert trace_on_span(rows, s, 2, config=CFG) == 1
+    assert trace_on_span(dimension_certificate(rows, 2, CFG), s) == 1
 
 
 def test_trace_rejects_unstable_span():
     rows = [chain_tree([1, 2, 3])]
     with pytest.raises(SpanInstabilityError):
-        trace_on_span(rows, Permutation.from_cycles(3, (1, 2)), 2, config=CFG)
+        trace_on_span(dimension_certificate(rows, 2, CFG), Permutation.from_cycles(3, (1, 2)))
+
+
+def test_trace_is_read_off_its_own_certificate():
+    # one set of trees, two spans: at d = 1 the nine trees span 6 and (12)
+    # traces 2 there; at d = 2 they are independent and (12) fixes one tree
+    s = Permutation.from_cycles(3, (1, 2))
+    assert trace_on_span(dimension_w(1, 3, config=CFG), s) == 2
+    assert trace_on_span(dimension_w(2, 3, config=CFG), s) == 1
+
+
+def test_trace_refuses_labelled_rows():
+    cert = dimension_labelled(2, 3, (1, 1, 1), config=CFG)
+    assert cert.certified
+    with pytest.raises(PreconditionError):
+        trace_on_span(cert, Permutation.identity(3))
+
+
+def test_trace_refuses_an_inconclusive_certificate(monkeypatch):
+    from elemdiff import relations
+    real = relations._certify_block
+    records = []
+
+    def one_block_apart(*args):
+        record = real(*args)
+        if not records:
+            record = dataclasses.replace(record, upper=record.upper + 1)
+        records.append(record)
+        return record
+
+    monkeypatch.setattr(relations, "_certify_block", one_block_apart)
+    cert = dimension_w(1, 3, config=CFG)
+    assert not cert.certified
+    with pytest.raises(PreconditionError):
+        trace_on_span(cert, Permutation.identity(3))
 
 
 # ---------------------------------------------------------------------------
