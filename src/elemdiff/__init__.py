@@ -22,7 +22,7 @@ from .differentials import (corolla_witness_family, eval_multiindex,
                             monomial_term, pre_lie, standard_identity,
                             standard_identity_tree_terms, tree_polynomial,
                             tree_value_at_zero)
-from .relations import (Block, CertifiedRelation, CertifyResult,
+from .relations import (CertifiedRelation, CertifyResult,
                         DimensionCertificate, EvalMatrix, JetStream,
                         block_basis, build_matrix, certify_relation,
                         dimension_certificate, dimension_labelled,

@@ -239,15 +239,13 @@ def _cmd_groups_scan(args, config):
 
 
 def _cmd_block_basis(args, config):
-    blocks = block_basis(args.dim, args.n, orbit_code=args.mi_orbit, config=config)
-    return _json_artifact({
-        "d": args.dim,
-        "n": args.n,
-        "orbit": args.mi_orbit,
-        "blocks": [b.to_json_dict() for b in blocks],
-        "totalDimension": (sum(b.dimension for b in blocks)
-                           if all(b.certified for b in blocks) else None),
-    })
+    cert = block_basis(args.dim, args.n, orbit_code=args.mi_orbit, config=config)
+    blocks = [{"arity": [a for (a,) in b.key], "status": b.status,
+               "dimension": b.dimension, "lower": b.lower, "upper": b.upper,
+               "basis": [cert.rows[r][0].parent_list() for r, _ in b.pivots]}
+              for b in sorted(cert.block_bounds, key=lambda b: b.key)]
+    return _json_artifact({"d": args.dim, "n": args.n, "orbit": args.mi_orbit,
+                           "blocks": blocks, "totalDimension": cert.dimension})
 
 
 # ---------------------------------------------------------------------------

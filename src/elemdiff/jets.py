@@ -54,7 +54,8 @@ class Jet:
                     raise PreconditionError(f"bad exponent {alpha!r} for d={d}")
                 if sum(alpha) > degree:
                     raise PreconditionError(f"monomial {alpha!r} exceeds degree {degree}")
-                q = Fraction(q)
+                if not isinstance(q, Fraction):
+                    q = Fraction(q)
                 if q:
                     c[alpha] = q
             cleaned.append(c)

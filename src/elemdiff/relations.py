@@ -43,6 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .config import DEFAULT_RANDOM_BOUND, RunConfig
@@ -51,7 +52,7 @@ from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
 from .jets import monomial_basis_size, monomials_up_to, random_jet_tuple
 from .labelling import enumerate_labelled
-from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
+from .multiindex import project_arities
 from .trees import Tree, Permutation, enumerate_trees, is_linear, relabel
 
 # ---------------------------------------------------------------------------
@@ -439,6 +440,13 @@ def _layer_ranks(d: int, weights, total: int):
     return tables[0][0][total], rank
 
 
+# `_row_polynomial`'s factor, one memo for every row: `_butcher`'s `plus`
+# mutates only fresh products, so a cached factor is never mutated
+@functools.cache
+def _monomial_factor(label, k, gamma) -> dict:
+    return {((label, sum(gamma), gamma, k),): math.prod(map(math.factorial, gamma))}
+
+
 def _row_polynomial(row, d: int) -> dict:
     """A (tree, labels) row's value at the origin as a polynomial in the
     inputs' jet coefficients, keyed (output component, layer tuple).  It runs
@@ -447,10 +455,6 @@ def _row_polynomial(row, d: int) -> dict:
     that component of its input, with coefficient gamma!; a product
     concatenates monomials.  A root monomial's factors, sorted, are its
     (gamma, component) items slot by slot in item order: a layer tuple."""
-
-    @functools.cache
-    def factor(label, k, gamma):
-        return {((label, sum(gamma), gamma, k),): math.prod(map(math.factorial, gamma))}
 
     def times(p, q):
         return {a + b: x * y for a, x in p.items() for b, y in q.items()}
@@ -461,7 +465,7 @@ def _row_polynomial(row, d: int) -> dict:
         return p
 
     poly = {}
-    for k, value in enumerate(_butcher(*row, d, factor, times, plus), start=1):
+    for k, value in enumerate(_butcher(*row, d, _monomial_factor, times, plus), start=1):
         for mono, c in value.items():
             key = (k, tuple((gamma, j) for _, _, gamma, j in sorted(mono)))
             poly[key] = poly.get(key, 0) + c
@@ -585,7 +589,7 @@ class DimensionCertificate(_Bounds):
     minor_rows: tuple
     minor_cols: tuple                 # each pivot row's column in its block's matrix
     relations: tuple                  # CertifiedRelation, echelon leadings
-    scheme: dict
+    scheme: MappingProxyType          # read-only: `columns` and the JSON read it
     block_bounds: tuple               # BlockCertificate, blocks in order of first row
 
     @property
@@ -614,7 +618,7 @@ class DimensionCertificate(_Bounds):
             "relations": [r.to_json_dict() for r in self.relations],
             "prime": PRIME,
             "seed": self.scheme["seed"],
-            "scheme": self.scheme,
+            "scheme": dict(self.scheme),
             "columns": self.columns,
             "rows": len(self.rows),
             "blocks": self.blocks,
@@ -661,7 +665,8 @@ def dimension_certificate(rows: Sequence, d: int,
         rows=rows, d=d,
         lower=sum(b.lower for b in records), upper=sum(b.upper for b in records),
         minor_rows=tuple(r for r, _ in pivots), minor_cols=tuple(c for _, c in pivots),
-        relations=tuple(relations), scheme=stream.describe(), block_bounds=records,
+        relations=tuple(relations), scheme=MappingProxyType(stream.describe()),
+        block_bounds=records,
     )
 
 
@@ -819,44 +824,17 @@ def trace_on_span(certificate: DimensionCertificate, sigma: Permutation) -> Frac
 # ---------------------------------------------------------------------------
 # block decomposition by arity multi-index
 
-@dataclass(frozen=True)
-class Block(_Bounds):
-    mi: MultiIndex
-    lower: int
-    upper: int
-    basis: tuple                # trees: the block's pivot rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arity": list(self.mi.arities),
-            "status": self.status,
-            "dimension": self.dimension,
-            "lower": self.lower,
-            "upper": self.upper,
-            "basis": [t.parent_list() for t in self.basis],
-        }
-
-
 def block_basis(d: int, n: int, orbit_code: str,
-                config: Optional[RunConfig] = None) -> list:
-    """Certified greedy bases of the multi-index blocks of one orbit.
-
-    One dimension certificate over the trees whose arity multi-index lies in
-    the orbit, in enumeration order; its per-block records are the blocks,
-    one per multi-index in `enumerate_multi_indices` order.  A block's basis
-    is its pivot rows - the greedy basis in enumeration order.
+                config: Optional[RunConfig] = None) -> DimensionCertificate:
+    """Certificate of the span of the trees whose arity multi-index lies in
+    one orbit, in enumeration order.  Its records are the orbit's
+    multi-index blocks: a plain row's key is ((a_1,), ..., (a_n,)), and a
+    block's pivot rows are its greedy basis in enumeration order.
     """
     config = config or RunConfig()
     _check_span(n)
-    mis = [m for m in enumerate_multi_indices(n) if m.orbit_code() == orbit_code]
-    if not mis:
-        raise PreconditionError(f"no multi-index matches orbit {orbit_code!r}")
     rows = [t for t in enumerate_trees(n)
             if project_arities(t).orbit_code() == orbit_code]
-    records = {b.key: b for b in dimension_certificate(rows, d, config).block_bounds}
-    out = []
-    for m in mis:
-        b = records[tuple((a,) for a in m.arities)]
-        out.append(Block(mi=m, lower=b.lower, upper=b.upper,
-                         basis=tuple(rows[r] for r, _ in b.pivots)))
-    return out
+    if not rows:
+        raise PreconditionError(f"no multi-index matches orbit {orbit_code!r}")
+    return dimension_certificate(rows, d, config)

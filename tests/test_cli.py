@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elemdiff import enumerate_trees
+from elemdiff import RunConfig, block_basis, enumerate_multi_indices, enumerate_trees
 from elemdiff.cli import main
 from elemdiff.relations import MAX_ROW_VERTICES
 
@@ -538,3 +538,16 @@ def test_identity_certify_fuzz(tmp_path_factory, relation):
         assert code == 2
         assert out.getvalue() == ""
         assert set(json.loads(err.getvalue())["error"]) == {"type", "message"}
+
+
+def test_block_basis_lists_blocks_in_multi_index_order(capsys):
+    for n in range(1, 6):
+        mis = enumerate_multi_indices(n)
+        for code in sorted({mi.orbit_code() for mi in mis}):
+            _, out, _ = run_cli(capsys, "block", "basis", "--dim", "1", "--n", str(n),
+                                "--mi-orbit", code)
+            payload = json.loads(out)
+            assert [b["arity"] for b in payload["blocks"]] == [
+                list(mi.arities) for mi in mis if mi.orbit_code() == code]
+            assert payload["totalDimension"] == block_basis(
+                1, n, orbit_code=code, config=RunConfig()).dimension

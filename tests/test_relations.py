@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from elemdiff import (
     JetStream,
     MismatchError,
+    MultiIndex,
     PreconditionError,
     RunConfig,
     SizeLimitError,
@@ -497,6 +499,15 @@ def test_certificate_records_its_rows_and_d():
             cert.d = d + 1
 
 
+def test_certificate_scheme_is_read_only():
+    cert = dimension_w(2, 3, config=CFG)
+    columns, obj = cert.columns, cert.to_json_dict()
+    assert cert.scheme["tuples"] * 2 == columns == 16
+    with pytest.raises(TypeError):
+        cert.scheme["tuples"] = 0
+    assert (cert.columns, cert.to_json_dict()) == (columns, obj)
+
+
 def test_dimension_d1_sees_only_arities():
     # 9 trees on 3 vertices collapse onto the 6 arity vectors
     assert dimension_w(1, 3, config=CFG).dimension == 6
@@ -737,11 +748,19 @@ def test_block_basis_selector_validation():
         block_basis(2, 3, orbit_code="x", config=CFG)
 
 
+def _records_with_bases(cert):
+    """The certificate's block records by key, each with its basis trees:
+    the rows at its pivots."""
+    return [(b, tuple(cert.rows[r][0] for r, _ in b.pivots))
+            for b in sorted(cert.block_bounds, key=operator.attrgetter("key"))]
+
+
 def test_single_block_dimensions_d1():
     for code in sorted({mi.orbit_code() for mi in enumerate_multi_indices(3)}):
-        for block in block_basis(1, 3, orbit_code=code, config=CFG):
+        cert = block_basis(1, 3, orbit_code=code, config=CFG)
+        for block, basis in _records_with_bases(cert):
             assert block.dimension == 1  # one variable: the arity vector is everything
-            assert len(block.basis) == 1
+            assert len(basis) == 1
 
 
 def _per_multi_index_blocks(d, n, code, config):
@@ -772,8 +791,9 @@ def _block_cases():
                          ids=lambda v: v if isinstance(v, str) else str(v))
 def test_block_basis_matches_one_certificate_per_multi_index(d, n, code, seed):
     config = RunConfig(seed=seed)
-    got = [(b.mi, b.status, b.lower, b.upper, b.basis)
-           for b in block_basis(d, n, orbit_code=code, config=config)]
+    cert = block_basis(d, n, orbit_code=code, config=config)
+    got = [(MultiIndex(tuple(a for (a,) in b.key)), b.status, b.lower, b.upper, basis)
+           for b, basis in _records_with_bases(cert)]
     assert got == _per_multi_index_blocks(d, n, code, config)
 
 
@@ -787,7 +807,7 @@ def test_block_basis_makes_one_certificate(monkeypatch):
         return real(rows, d, config)
 
     monkeypatch.setattr(relations, "dimension_certificate", counted)
-    blocks = block_basis(2, 4, orbit_code="2,1,0,0", config=CFG)
+    blocks = block_basis(2, 4, orbit_code="2,1,0,0", config=CFG).block_bounds
     assert len(blocks) == 12
     assert calls == [sum(1 for t in enumerate_trees(4)
                          if project_arities(t).orbit_code() == "2,1,0,0")]
@@ -798,9 +818,10 @@ def test_block_basis_makes_one_certificate(monkeypatch):
 def test_orbit_blocks_sum_to_full_dimension(d, n):
     total = 0
     for code in sorted({mi.orbit_code() for mi in enumerate_multi_indices(n)}):
-        for block in block_basis(d, n, orbit_code=code, config=CFG):
+        cert = block_basis(d, n, orbit_code=code, config=CFG)
+        for block, basis in _records_with_bases(cert):
             assert block.status == "certified"
-            assert block.lower == block.upper == block.dimension == len(block.basis)
+            assert block.lower == block.upper == block.dimension == len(basis)
             total += block.dimension
     assert total == dimension_w(d, n, config=CFG).dimension
 
@@ -810,7 +831,8 @@ def test_star_blocks_certify_with_the_batch_floor(seed):
     # one-row blocks: the star vanishes on about half of all tuples, and with
     # 2 columns a batch and a stop once two batches agreed on the rank, these
     # seeds left a block inconclusive
-    blocks = block_basis(1, 5, orbit_code="4,0,0,0,0", config=RunConfig(seed=seed))
+    cert = block_basis(1, 5, orbit_code="4,0,0,0,0", config=RunConfig(seed=seed))
+    blocks = cert.block_bounds
     assert [b.status for b in blocks] == ["certified"] * 5
     assert [b.dimension for b in blocks] == [1] * 5
 
