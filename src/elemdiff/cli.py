@@ -88,21 +88,7 @@ def _load_jets(path: str) -> list:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise PreconditionError("inputs file must hold a list of jets")
-    jets = []
-    for item in raw:
-        item = item if isinstance(item, dict) else {}
-        comps = item.get("components")
-        if not (_is_int(item.get("d")) and _is_int(item.get("D")) and isinstance(comps, list)
-                and all(isinstance(comp, dict) for comp in comps)):
-            raise PreconditionError(
-                'each jet needs integer "d" and "D" and a "components" list of '
-                '{"exponents": coefficient} objects')
-        try:
-            comps = [{key: Fraction(str(q)) for key, q in comp.items()} for comp in comps]
-        except (ValueError, ZeroDivisionError):
-            raise PreconditionError("jet coefficients must be integers or fractions")
-        jets.append(Jet.from_json_dict({"d": item["d"], "D": item["D"], "components": comps}))
-    return jets
+    return [Jet.from_json_dict(item) for item in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +134,6 @@ def _cmd_mi_project(args, config):
 def _cmd_eval_f(args, config):
     tree = _parse_parents(args.tree)
     inputs = _load_jets(args.inputs)
-    if any(j.d != args.dim for j in inputs):
-        raise PreconditionError("inputs disagree with --dim")
     result = eval_tree(tree, inputs, degree=args.degree)
     return _json_artifact(result.to_json_dict())
 
@@ -240,8 +224,7 @@ def _cmd_groups_scan(args, config):
 
 def _cmd_block_basis(args, config):
     cert = block_basis(args.dim, args.n, orbit_code=args.mi_orbit, config=config)
-    blocks = [{"arity": [a for (a,) in b.key], "status": b.status,
-               "dimension": b.dimension, "lower": b.lower, "upper": b.upper,
+    blocks = [{"arity": [a for (a,) in b.key], **b.to_json_dict(),
                "basis": [cert.rows[r][0].parent_list() for r, _ in b.pivots]}
               for b in sorted(cert.block_bounds, key=lambda b: b.key)]
     return _json_artifact({"d": args.dim, "n": args.n, "orbit": args.mi_orbit,
@@ -301,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     e_f = ev.add_parser("f", parents=shared)
     e_f.add_argument("--tree", required=True)
     e_f.add_argument("--inputs", required=True)
-    e_f.add_argument("--dim", type=int, required=True)
     e_f.add_argument("--degree", type=int, default=None,
                      help="override the evaluation truncation degree")
     e_f.set_defaults(handler=_cmd_eval_f)

@@ -103,13 +103,22 @@ class Jet:
         }
 
     @staticmethod
-    def from_json_dict(obj: dict) -> Jet:
-        comps = []
-        for comp in obj["components"]:
-            comps.append({
-                tuple(int(x) for x in key.split(",")): Fraction(val)
-                for key, val in comp.items()
-            })
+    def from_json_dict(obj) -> Jet:
+        """The one reader of the jets format; a malformed object is a PreconditionError."""
+        obj = obj if isinstance(obj, dict) else {}
+        comps = obj.get("components")
+        if not (type(obj.get("d")) is int and type(obj.get("D")) is int
+                and isinstance(comps, list) and all(isinstance(c, dict) for c in comps)):
+            raise PreconditionError(
+                'each jet needs integer "d" and "D" and a "components" list of '
+                '{"exponents": coefficient} objects')
+        try:
+            comps = [{tuple(int(x) for x in key.split(",")): Fraction(str(q))
+                      for key, q in comp.items()} for comp in comps]
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(
+                "jet exponents must be comma-separated integers and coefficients "
+                "integers or fractions")
         return Jet(obj["d"], obj["D"], comps)
 
 

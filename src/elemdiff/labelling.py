@@ -24,8 +24,8 @@ from typing import Mapping, Optional
 from .errors import MismatchError, PreconditionError, SizeLimitError
 from .trees import ROOT, Tree
 
-# (tree, labels) pairs one `enumerate_labelled` call may visit: n^(n-2) trees
-# rooted at 1 times the label vectors; every profile at n <= 6, one colour to 8.
+# bound on n^(n-2) x colourings, a conservative proxy for the work of one
+# `enumerate_labelled` call; every profile at n <= 6, one colour to 8.
 MAX_WALK_PAIRS = 10**6
 
 
@@ -114,8 +114,8 @@ def enumerate_labelled(n: int, ell: int,
         raise PreconditionError("need n >= 1")
     if ell < 1:
         raise PreconditionError("need at least one colour")
-    if (n - 2) * math.log(n) > math.log(MAX_WALK_PAIRS):  # trees alone; no huge power
-        raise SizeLimitError(f"walk of over {MAX_WALK_PAIRS} pairs: {n}^{n - 2} trees rooted at 1")
+    if (n - 2) * math.log(n) > math.log(MAX_WALK_PAIRS):  # n^(n-2) alone; no huge power
+        raise SizeLimitError(f"work proxy {n}^{n - 2} alone exceeds {MAX_WALK_PAIRS}")
     if multiplicities is None:
         colours = range(1, ell + 1)
         vector_count = ell ** n
@@ -127,9 +127,9 @@ def enumerate_labelled(n: int, ell: int,
             raise MismatchError("colour counts must sum to the vertex count")
         colours = [c for c, k in enumerate(multiplicities, start=1) if k]
         vector_count = math.factorial(n) // math.prod(map(math.factorial, multiplicities))
-    pairs = n ** (n - 1) // n * vector_count  # root-1 trees times label vectors
+    pairs = n ** (n - 1) // n * vector_count  # n^(n-2) x colourings
     if pairs > MAX_WALK_PAIRS:
-        raise SizeLimitError(f"walk of {pairs} (tree, labels) pairs exceeds {MAX_WALK_PAIRS}")
+        raise SizeLimitError(f"work proxy n^(n-2) x colourings = {pairs} exceeds {MAX_WALK_PAIRS}")
     vectors = [labels for labels in itertools.product(colours, repeat=n)
                if multiplicities is None
                or all(labels.count(c) == multiplicities[c - 1] for c in colours)]

@@ -556,7 +556,7 @@ class CertifiedRelation:
 
 
 class _Bounds:
-    """The status rule of anything with a `lower` and an `upper` bound."""
+    """The status rule and JSON record of anything with a `lower` and an `upper` bound."""
 
     @property
     def certified(self) -> bool:
@@ -569,6 +569,10 @@ class _Bounds:
     @property
     def dimension(self) -> Optional[int]:
         return self.lower if self.certified else None
+
+    def to_json_dict(self) -> dict:
+        return {"status": self.status, "dimension": self.dimension,
+                "lower": self.lower, "upper": self.upper}
 
 
 @dataclass(frozen=True)
@@ -607,11 +611,8 @@ class DimensionCertificate(_Bounds):
 
     def to_json_dict(self) -> dict:
         return {
-            "status": self.status,
-            "dimension": self.dimension,
+            **super().to_json_dict(),
             "certified": self.certified,
-            "lower": self.lower,
-            "upper": self.upper,
             "rank": self.rank,
             "minorRows": list(self.minor_rows),
             "minorCols": list(self.minor_cols),

@@ -191,9 +191,6 @@ class Tree:
         """(parent, child) pairs, sorted."""
         return tuple(sorted((p, v) for v, p in self.entries if p != ROOT))
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.size, "parent": self.parent_list()}
-
 
 def enumerate_trees(n: int) -> list[Tree]:
     """All n^(n-1) rooted trees on {1..n}, roots ascending, then parent lists ascending."""

@@ -62,6 +62,12 @@ def test_mi_enum_and_project(capsys):
     assert all(line.startswith("z[") for line in lines)
     code, out, _ = run_cli(capsys, "mi", "project", "--tree", "[0,1,1]")
     assert out == "z[(1,2)(2,0)(3,0)]\n"
+    code, out, _ = run_cli(capsys, "mi", "enum", "--n", "3", "--format", "json")
+    payload = json.loads(out)
+    assert payload["count"] == 6
+    assert payload["multiIndices"][0] == {"n": 3, "arity": [0, 0, 2]}
+    code, out, _ = run_cli(capsys, "mi", "project", "--tree", "[0,1,1]", "--format", "json")
+    assert json.loads(out) == {"n": 3, "arity": [2, 0, 0]}
 
 
 def test_eval_roundtrip(capsys, tmp_path):
@@ -72,21 +78,16 @@ def test_eval_roundtrip(capsys, tmp_path):
     path = tmp_path / "inputs.json"
     path.write_text(json.dumps([j.to_json_dict() for j in jets]))
     code, out, _ = run_cli(capsys, "eval", "f", "--tree", "[0,1]",
-                           "--inputs", str(path), "--dim", "2")
+                           "--inputs", str(path))
     assert code == 0
     payload = json.loads(out)
     assert payload["d"] == 2
     # one derivative below the root: degree 3 leaves 2, --degree 1 leaves 0
     assert payload["D"] == 2
     code, out, _ = run_cli(capsys, "eval", "f", "--tree", "[0,1]",
-                           "--inputs", str(path), "--dim", "2", "--degree", "1")
+                           "--inputs", str(path), "--degree", "1")
     assert code == 0
     assert json.loads(out)["D"] == 0
-    # wrong --dim is refused
-    code, _, err = run_cli(capsys, "eval", "f", "--tree", "[0,1]",
-                           "--inputs", str(path), "--dim", "3")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "PreconditionError"
 
 
 def test_eval_g_scalar_only(capsys, tmp_path):
@@ -100,6 +101,8 @@ def test_eval_g_scalar_only(capsys, tmp_path):
                            "--inputs", str(path))
     assert code == 0
     assert json.loads(out)["d"] == 1
+    # the bare comma form names the same multi-index
+    assert run_cli(capsys, "eval", "g", "--mi", "2,0,0", "--inputs", str(path))[1] == out
 
 
 @pytest.mark.parametrize("jet", [
@@ -112,6 +115,7 @@ def test_eval_g_scalar_only(capsys, tmp_path):
     {"d": 1, "D": 2, "components": [{"1": None}]},
     {"d": 1, "D": 2, "components": [{"1": "1/0"}]},
     {"d": True, "D": 2, "components": [{"1": "2"}]},
+    {"d": 1, "D": 2, "components": [{"a": "1"}]},
 ])
 def test_eval_bad_inputs_file_is_a_json_error(capsys, tmp_path, jet):
     path = tmp_path / "inputs.json"
@@ -206,6 +210,7 @@ def test_threads_flag_is_gone(capsys):
     ("dim", "w", "--dim", "1", "--n", "3", "--column-budget", "10"),
     ("dim", "w", "--dim", "1", "--n", "3", "--format", "json"),  # one format only
     ("dim", "w", "--dim", "1", "--n", "3", "--linear", "--labels", "3"),  # two spans
+    ("eval", "f", "--tree", "[0,1]", "--inputs", "in.json", "--dim", "2"),  # deleted flag
 ])
 def test_argv_errors_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
