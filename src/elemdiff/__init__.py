@@ -5,10 +5,9 @@ over their evaluation maps."""
 from .config import RunConfig
 from .errors import (ElemdiffError, MismatchError, PreconditionError,
                      SizeLimitError, SpanInstabilityError)
-from .trees import (Permutation, RetargetResult, Tree, all_permutations,
-                    bplus, chain_tree, enumerate_trees, find_sigma,
-                    graft_sum, is_linear, relabel, retarget, retarget_edges,
-                    subtree_above)
+from .trees import (Permutation, Tree, all_permutations, bplus, chain_tree,
+                    enumerate_trees, find_sigma, graft_sum, is_linear,
+                    relabel, retarget, retarget_edges, subtree_above)
 from .multiindex import (MultiIndex, enumerate_multi_indices, project_arities,
                          relabel_multi_index, tree_with_arities)
 from .jets import (Jet, add, assemble, component, eval_at_zero,

@@ -35,12 +35,16 @@ def _json_artifact(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _parse_ints(text: str, flag: str) -> list[int]:
+    """A comma-separated integer list; anything else is a PreconditionError."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise PreconditionError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _parse_parents(text: str) -> Tree:
-    body = text.strip().strip("[]")
-    if not body:
-        raise PreconditionError("empty tree description")
-    parents = [int(x) for x in body.replace(" ", "").split(",")]
-    return Tree.from_parents(parents)
+    return Tree.from_parents(_parse_ints(text.strip().strip("[]"), "--tree"))
 
 
 def _parents_text(tree: Tree) -> str:
@@ -147,7 +151,7 @@ def _cmd_eval_g(args, config):
 
 def _cmd_dim_w(args, config):
     if args.labels is not None:
-        ks = tuple(int(x) for x in args.labels.split(","))
+        ks = tuple(_parse_ints(args.labels, "--labels"))
         cert = dimension_labelled(args.dim, args.n, ks, config)
         head = {"kind": "labelled", "labels": list(ks)}
     elif args.linear:

@@ -266,36 +266,34 @@ def tree_polynomial(tree: Tree, term_inputs: Mapping) -> dict:
 # ---------------------------------------------------------------------------
 # corolla witness families (two dimensions)
 
-def corolla_witness_family(tree: Tree, v: int, exponent: int | None = None) -> dict:
+def corolla_witness_family(tree: Tree, v: int) -> dict:
     """Inputs that watch whether the set of children of v is preserved.
 
     v and its children receive y^k e_x + x^N e_y (k = child count of v),
-    every other vertex x^N e_x; N defaults to the vertex count.
+    every other vertex x^N e_x; N is the vertex count.
     """
     n = tree.size
-    big = exponent if exponent is not None else n
     k = len(tree.children(v))
     special = {v, *tree.children(v)}
     fam = {}
     for w in tree.vertices:
         if w in special:
-            fam[w] = [(1, (0, k), 1), (1, (big, 0), 2)]
+            fam[w] = [(1, (0, k), 1), (1, (n, 0), 2)]
         else:
-            fam[w] = [(1, (big, 0), 1)]
+            fam[w] = [(1, (n, 0), 1)]
     return fam
 
 
 Witness = namedtuple("Witness", "vertex family source")
 
 
-def find_distinguishing_witness(t1: Tree, t2: Tree,
-                                exponent: int | None = None) -> Witness | None:
+def find_distinguishing_witness(t1: Tree, t2: Tree) -> Witness | None:
     """First corolla family on which the two trees evaluate differently."""
     if set(t1.vertices) != set(t2.vertices):
         raise MismatchError("witness search needs a shared vertex set")
     for source, base in (("first", t1), ("second", t2)):
         for v in base.vertices:
-            fam = corolla_witness_family(base, v, exponent)
+            fam = corolla_witness_family(base, v)
             if tree_polynomial(t1, fam) != tree_polynomial(t2, fam):
                 return Witness(vertex=v, family=fam, source=source)
     return None

@@ -261,14 +261,11 @@ def point_stabilizer_class(n: int) -> SubgroupClass:
 # ---------------------------------------------------------------------------
 # coset characters and the constraint scan
 
-def coset_character(sub: SubgroupClass, n: int | None = None) -> CharacterRow:
+def coset_character(sub: SubgroupClass) -> CharacterRow:
     """Fixed cosets of each class representative acting by left translation:
     the induced character, n! #{h in sub of type c} / (|c| |sub|) on class c,
     read off the subgroup's cycle profile."""
-    degree = next(iter(sub.elements)).degree
-    if n is not None and n != degree:
-        raise MismatchError(f"subgroup lives in degree {degree}, not {n}")
-    n = degree
+    n = next(iter(sub.elements)).degree
     vals = tuple(math.factorial(n) * sub.cycle_profile.count(cc.partition)
                  // (cc.size * sub.order) for cc in conjugacy_classes(n))
     return CharacterRow(n, f"cosets_mod_{sub.label}", vals)

@@ -80,10 +80,6 @@ class Jet:
         return (isinstance(other, Jet) and self.d == other.d
                 and self.degree == other.degree and self.comps == other.comps)
 
-    def __hash__(self):
-        return hash((self.d, self.degree,
-                     tuple(tuple(sorted(c.items())) for c in self.comps)))
-
     def __repr__(self):
         terms = []
         for j, comp in enumerate(self.comps, start=1):
@@ -122,8 +118,8 @@ class Jet:
         return Jet(obj["d"], obj["D"], comps)
 
 
-def zero_jet(d: int, degree: int, ncomps: int | None = None) -> Jet:
-    return Jet(d, degree, [{} for _ in range(ncomps if ncomps is not None else d)])
+def zero_jet(d: int, degree: int) -> Jet:
+    return Jet(d, degree, [{} for _ in range(d)])
 
 
 def monomial_jet(d: int, degree: int, alpha, comp: int, ncomps: int | None = None,
@@ -260,7 +256,6 @@ def random_jet(rng, d: int, degree: int, bound: int, ncomps: int | None = None) 
     return Jet(d, degree, comps)
 
 
-def random_jet_tuple(rng, count: int, d: int, degree: int, bound: int,
-                     ncomps: int | None = None) -> tuple[Jet, ...]:
-    return tuple(random_jet(rng, d, degree, bound, ncomps) for _ in range(count))
+def random_jet_tuple(rng, count: int, d: int, degree: int, bound: int) -> tuple[Jet, ...]:
+    return tuple(random_jet(rng, d, degree, bound) for _ in range(count))
 

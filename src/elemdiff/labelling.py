@@ -40,10 +40,6 @@ class LabelledObject:
         if any(not isinstance(x, int) or x < 1 for x in self.labels):
             raise PreconditionError("labels are positive integers")
 
-    @property
-    def n(self) -> int:
-        return self.tree.size
-
     def multiplicities(self, ell: int | None = None) -> tuple:
         top = ell if ell is not None else max(self.labels)
         if top < max(self.labels):

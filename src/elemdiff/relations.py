@@ -408,7 +408,7 @@ class CertifyResult:
     tuples_skipped_off_layer: int
 
 
-@functools.lru_cache(maxsize=1)  # a certificate's relations all share one shape
+@functools.lru_cache(maxsize=1)  # repeated certify_relation calls of one shape
 def _layer_ranks(d: int, weights, total: int):
     """(size, rank): how many monomial tuples of total degree `total` there
     are (off it every row vanishes at the origin), and the 1-based position

@@ -218,46 +218,23 @@ def relabel(tree: Tree, sigma: Permutation) -> Tree:
     )))
 
 
-@dataclass(frozen=True)
-class RetargetResult:
-    """Outcome of moving edge targets through a permutation.
-
-    The move can break treeness (the rewired edges may close a cycle), so the
-    raw graph is always reported and `tree` is only set when it survived.
-    """
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    root: int
-    is_tree: bool
-    tree: Tree | None
-
-
 def retarget_edges(edges, sigma: Permutation) -> tuple[tuple[int, int], ...]:
     """Send each (source, target) edge to (source, sigma(target))."""
     return tuple(sorted((a, sigma(b)) for a, b in edges))
 
 
-def retarget(tree: Tree, sigma: Permutation) -> RetargetResult:
+def retarget(tree: Tree, sigma: Permutation) -> Tree | None:
     """Move every edge's child endpoint through sigma, keeping sources fixed.
 
     Every vertex except sigma(root) ends up with exactly one incoming parent
-    edge, so the only possible failure is a cycle.
+    edge, so the only possible failure is a cycle, and then the result is
+    None; `retarget_edges(tree.edges(), sigma)` gives the raw graph either way.
     """
     if not tree.is_contiguous() or sigma.degree != tree.size:
         raise MismatchError("retarget needs vertex set {1..n} and a matching permutation")
-    new_edges = retarget_edges(tree.edges(), sigma)
-    new_root = sigma(tree.root)
     pmap = {sigma(v): p for v, p in tree.entries if p != ROOT}
-    pmap[new_root] = ROOT
-    is_tree = _reaches_root(pmap)
-    return RetargetResult(
-        vertices=tree.vertices,
-        edges=new_edges,
-        root=new_root,
-        is_tree=is_tree,
-        tree=Tree.from_parent_map(pmap) if is_tree else None,
-    )
+    pmap[sigma(tree.root)] = ROOT
+    return Tree.from_parent_map(pmap) if _reaches_root(pmap) else None
 
 
 def find_sigma(src: Tree, dst: Tree) -> Permutation:

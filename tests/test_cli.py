@@ -211,6 +211,10 @@ def test_threads_flag_is_gone(capsys):
     ("dim", "w", "--dim", "1", "--n", "3", "--format", "json"),  # one format only
     ("dim", "w", "--dim", "1", "--n", "3", "--linear", "--labels", "3"),  # two spans
     ("eval", "f", "--tree", "[0,1]", "--inputs", "in.json", "--dim", "2"),  # deleted flag
+    ("mi", "project", "--tree", "[0,a]"),                    # non-integer parent
+    ("dim", "w", "--dim", "1", "--n", "3", "--labels", "a,1"),  # non-integer label
+    ("dim", "w", "--dim", "1", "--n", "3", "--seed", "-1"),  # RunConfig guards
+    ("dim", "w", "--dim", "1", "--n", "3", "--bound", "0"),
 ])
 def test_argv_errors_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -219,6 +223,16 @@ def test_argv_errors_are_json_errors(capsys, argv):
     error = json.loads(err)["error"]
     assert set(error) == {"type", "message"}
     assert error["type"] == "PreconditionError"
+
+
+def test_failed_lift_is_a_null_dimension(capsys, monkeypatch):
+    from elemdiff import relations
+    real = relations.rational_reconstruct
+    monkeypatch.setattr(relations, "rational_reconstruct",
+                        lambda a, p: real(a, p) if a % p in (0, 1) else None)
+    code, out, _ = run_cli(capsys, "dim", "w", "--dim", "1", "--n", "4")
+    assert code == 0
+    assert json.loads(out)["dimension"] is None
 
 
 def test_help_still_exits_zero(capsys):

@@ -683,6 +683,21 @@ def test_relation_leading_structure():
         assert dict(rel.coeffs)[rel.leading] == 1
 
 
+def test_failed_lift_leaves_the_certificate_inconclusive(monkeypatch):
+    # a relation whose residues do not lift is kept unverified and empty, so
+    # the upper bound stays at the row count instead of a silent answer
+    from elemdiff import relations
+    real = relations.rational_reconstruct
+    monkeypatch.setattr(relations, "rational_reconstruct",
+                        lambda a, p: real(a, p) if a % p in (0, 1) else None)
+    cert = dimension_w(1, 4)
+    assert cert.status == "inconclusive"
+    assert cert.dimension is None
+    assert (cert.lower, cert.upper) == (20, 64)
+    assert len(cert.relations) == 44
+    assert all(rel.verified is False and rel.coeffs == () for rel in cert.relations)
+
+
 # ---------------------------------------------------------------------------
 # traces
 

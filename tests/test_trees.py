@@ -216,7 +216,7 @@ def test_retarget_identity_and_composition():
     for _ in range(60):
         t = rng.choice(trees)
         ident = Permutation.identity(4)
-        assert retarget(t, ident).tree == t
+        assert retarget(t, ident) == t
         s1, s2 = rng.choice(perms), rng.choice(perms)
         edges = t.edges()
         assert retarget_edges(retarget_edges(edges, s1), s2) == retarget_edges(
@@ -228,20 +228,20 @@ def test_retarget_preserves_arity_profile():
     t = Tree.from_parents([0, 1, 1, 2])
     for s in all_permutations(4):
         res = retarget(t, s)
-        if not res.is_tree:
+        if res is None:
             continue
         before = project_arities(t)
-        after = project_arities(res.tree)
+        after = project_arities(res)
         assert before == after  # out-degrees never move
 
 
 def test_retarget_can_leave_the_tree_world():
     # swapping a parent-child pair creates a 2-cycle unless the pair is at the root
     t = chain_tree([1, 2, 3])
-    res = retarget(t, Permutation.from_cycles(3, (2, 3)))
-    assert not res.is_tree
-    assert res.tree is None
-    assert len(res.edges) == 2
+    sigma = Permutation.from_cycles(3, (2, 3))
+    res = retarget(t, sigma)
+    assert res is None
+    assert len(retarget_edges(t.edges(), sigma)) == 2
 
 
 def test_find_sigma_round_trip_exhaustive():
@@ -253,8 +253,8 @@ def test_find_sigma_round_trip_exhaustive():
             for t1, t2 in itertools.product(members, repeat=2):
                 sigma = find_sigma(t1, t2)
                 res = retarget(t1, sigma)
-                assert res.is_tree
-                assert res.tree == t2
+                assert res is not None
+                assert res == t2
 
 
 def test_find_sigma_rejects_arity_mismatch():
