@@ -4,7 +4,10 @@ subgroup lattice up to conjugacy, coset characters, and the constraint scan.
 Everything here is desk scale (degree at most 6), so the algorithms are the
 blunt exact ones: explicit element sets, explicit conjugation, explicit
 fixed-point counting, and subgroup classes told apart by membership in the
-sets of conjugates of the classes already found.
+sets of conjugates of the classes already found.  Inside the subgroup walk
+and the fixed-tree count an element is its plain image tuple, composed
+through `trees.compose_with`; a class found wraps its generators and
+members as `Permutation` once, when it is kept.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
-from .trees import Permutation, all_permutations, enumerate_trees, relabel
+from .trees import Permutation, compose_with, enumerate_trees, inverse_images
 
 MAX_SUBGROUP_DEGREE = 6
 MAX_TREE_CHARACTER_DEGREE = 5
@@ -122,15 +125,20 @@ class CharacterRow:
 
 
 def tree_fixed_character(n: int) -> CharacterRow:
-    """Count the labelled rooted trees each class representative fixes."""
+    """Count the labelled rooted trees each class representative sigma
+    fixes: the parent lists p with p[sigma(v)] = sigma(p[v]), where
+    sigma(0) = 0 keeps the root mark."""
     if n > MAX_TREE_CHARACTER_DEGREE:
         raise SizeLimitError(f"tree character needs n <= {MAX_TREE_CHARACTER_DEGREE}")
-    trees = enumerate_trees(n)
-    vals = tuple(
-        sum(1 for t in trees if relabel(t, cc.representative) == t)
-        for cc in conjugacy_classes(n)
-    )
-    return CharacterRow(n, "tree_fixed_points", vals)
+    parents = [t.parent_list() for t in enumerate_trees(n)]
+    vals = []
+    for cc in conjugacy_classes(n):
+        images = cc.representative.images
+        at_sigma = compose_with(images)            # p -> (p[sigma(v)])_v
+        sigma = (0,) + images                      # sigma[q] = sigma(q)
+        vals.append(sum(1 for p in parents
+                        if at_sigma(p) == tuple(map(sigma.__getitem__, p))))
+    return CharacterRow(n, "tree_fixed_points", tuple(vals))
 
 
 def sign_natural_character(d: int) -> CharacterRow:
@@ -170,17 +178,19 @@ class SubgroupClass:
 
 
 def _closure(elems: frozenset, gens) -> frozenset:
-    """The group `gens` generate: a union of right cosets elems·y of its
-    subgroup `elems`, closed under right multiplication by each generator."""
+    """The group `gens` generate, on image tuples: a union of right cosets
+    elems·y of its subgroup `elems`, closed under right multiplication by
+    each generator."""
     out = set(elems)
-    frontier = [Permutation.identity(gens[0].degree)]
+    steps = [compose_with(g) for g in gens]
+    frontier = [tuple(range(1, len(gens[0]) + 1))]
     while frontier:
         new = []
         for y in frontier:
-            for g in gens:
-                z = y.compose(g)
+            for step in steps:
+                z = step(y)
                 if z not in out:
-                    out.update(h.compose(z) for h in elems)
+                    out.update(map(compose_with(z), elems))
                     new.append(z)
         frontier = new
     return frozenset(out)
@@ -205,33 +215,38 @@ def subgroup_classes(n: int = 5) -> tuple:
         raise PreconditionError("need n >= 1")
     if n > MAX_SUBGROUP_DEGREE:
         raise SizeLimitError(f"subgroup classification needs n <= {MAX_SUBGROUP_DEGREE}")
-    group = all_permutations(n)
+    group = list(itertools.permutations(range(1, n + 1)))
     known = set()
     found = []
 
     def record(elems, gens):
         # s and every s·k (k in elems) conjugate elems alike: one s per coset
+        times = [compose_with(k) for k in elems]        # s -> s·k
         conjugates, covered = set(), set()
         for s in group:
             if s not in covered:
-                covered.update(s.compose(k) for k in elems)
-                si = s.inverse()
-                conjugates.add(frozenset(s.compose(h).compose(si) for h in elems))
+                coset = [t(s) for t in times]
+                covered.update(coset)
+                conjugates.add(frozenset(map(compose_with(inverse_images(s)), coset)))
         known.update(conjugates)
-        found.append((elems, gens, _profile(elems), len(conjugates)))
+        members = frozenset(map(Permutation, elems))
+        found.append((members, tuple(map(Permutation, gens)), _profile(members),
+                      len(conjugates)))
 
-    trivial = frozenset({Permutation.identity(n)})
+    trivial = frozenset({group[0]})
     record(trivial, ())
     frontier = [(trivial, ())]
     while frontier:
         grown = []
         for elems, gens in frontier:
             tried = set(elems)
+            # h·g·h^-1 as (h·g)·h^-1: h read at g, then at h^-1
+            conjugators = [(h, compose_with(inverse_images(h))) for h in elems]
             for g in group:
                 if g in tried:
                     continue
-                for h in elems:
-                    tried.add(h.compose(g).compose(h.inverse()))
+                through_g = compose_with(g)
+                tried.update(undo(through_g(h)) for h, undo in conjugators)
                 bigger = _closure(elems, gens + (g,))
                 if bigger not in known:
                     record(bigger, gens + (g,))

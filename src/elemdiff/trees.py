@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
 
@@ -19,6 +20,24 @@ ROOT = 0
 
 # n^(n-1) growth; 8^7 = 2,097,152 trees is the most we ever want in memory.
 MAX_ENUM_VERTICES = 8
+
+
+def compose_with(right: tuple):
+    """The map a -> a after right on image tuples of right's degree: a is
+    read at right's images, so the result sends v to a(right(v)).  This is
+    the one composition rule; `Permutation` and the subgroup walk in
+    `groups` both go through it."""
+    read = itemgetter(*[w - 1 for w in right])
+    if len(right) == 1:     # one index reads a scalar, not a 1-tuple
+        return lambda a: (read(a),)
+    return read
+
+
+def inverse_images(images: tuple) -> tuple:
+    out = [0] * len(images)
+    for v, w in enumerate(images, start=1):
+        out[w - 1] = v
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -55,13 +74,10 @@ class Permutation:
         """self after other: compose(self, other)(v) = self(other(v))."""
         if self.degree != other.degree:
             raise MismatchError("permutation degree mismatch")
-        return Permutation(tuple(self.images[w - 1] for w in other.images))
+        return Permutation(compose_with(other.images)(self.images))
 
     def inverse(self) -> Permutation:
-        out = [0] * self.degree
-        for v, w in enumerate(self.images, start=1):
-            out[w - 1] = v
-        return Permutation(tuple(out))
+        return Permutation(inverse_images(self.images))
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, longest first."""

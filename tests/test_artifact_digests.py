@@ -5,9 +5,9 @@ the two runs that lean hardest on the column kernel (the widest d at n = 5
 and at n = 4) and two that lean on the exact relation verifier (a d = 4
 witness deep in its layer, at position 4,070,000, and a verified relation
 among rows with a repeated colour), each at `--seed 1`, pinned by the sha256
-of the artifact they print.  The subgroup records of S_4 and S_5 are pinned
-too: `groups scan` prints only its survivors' generators, so these two are
-what fixes every class's label, order, class size and generator list.  The
+of the artifact they print.  The subgroup records of S_4, S_5 and S_6 are pinned
+too: `groups scan` prints only its survivors' generators, so these three
+are what fix every class's label, order, class size and generator list.  The
 orbit runs, `trees canon --n 6` in both formats and two labelled profiles at
 n = 5, pin the representatives that `labelling` builds.  A change that alters any byte of these
 artifacts fails here and has to say which field changed and why.
@@ -64,6 +64,8 @@ PINNED = (
      "9b2371747a230775d70a4395d86688ea3901de236e1dcde2403fb2e8f6e5b87a"),
     ("groups subgroups",
      "eac1e113e371bbfcb1d7c6c5d5f4d8156cbb609964650f3e6d17ebcb1e3c67e3"),
+    ("groups subgroups --n 6",
+     "14464ef9ebadba64148d99e4d5f082ab268cd6c7fcd2d688a8f58efbdb76a88d"),
     ("trees canon --n 6",
      "1f8721d328e3849ce7017e66457b82fbecf89bbf6eaf8c5de6e286b7a55adb6f"),
     ("trees canon --n 6 --format json",

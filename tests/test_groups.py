@@ -69,11 +69,14 @@ def test_tree_fixed_character_n5():
 
 
 def test_tree_fixed_character_matches_brute_force():
-    trees = enumerate_trees(5)
-    for label in ("(12)", "(12)(34)", "(1234)"):
-        rep = klass(5, label).representative
-        count = sum(1 for t in trees if relabel(t, rep) == t)
-        assert count == tree_fixed_character(5).value(rep.cycle_type())
+    # the count reads parent lists; relabelling whole trees is the oracle
+    for n in (1, 2, 3, 4, 5):
+        trees = enumerate_trees(n)
+        expected = tuple(sum(1 for t in trees if relabel(t, cc.representative) == t)
+                         for cc in conjugacy_classes(n))
+        assert tree_fixed_character(n).values == expected
+    assert tree_fixed_character(1).values == (1,)
+    assert tree_fixed_character(2).values == (2, 0)
 
 
 def test_character_is_class_function():
@@ -110,6 +113,7 @@ def test_character_table_rows():
     assert rows[0].values[0] == 625
     assert rows[1].values[0] == 5
     assert rows[2].values[0] == 620
+    assert [row.values for row in character_table(1)] == [(1,), (1,), (0,)]
     with pytest.raises(PreconditionError):
         character_table(4)
 
@@ -128,16 +132,21 @@ def test_inner_product_orthogonality_sanity():
 
 
 def test_subgroup_class_counts():
+    assert len(subgroup_classes(1)) == 1
+    assert len(subgroup_classes(2)) == 2
     assert len(subgroup_classes(3)) == 4
     assert len(subgroup_classes(4)) == 11
     assert len(subgroup_classes(5)) == 19
+    assert len(subgroup_classes(6)) == 56
 
 
 def test_total_subgroup_counts():
     # summing conjugates over the classes counts every subgroup once
+    # (OEIS A000638 counts the classes, A005432 the subgroups)
     assert sum(sc.class_size for sc in subgroup_classes(3)) == 6
     assert sum(sc.class_size for sc in subgroup_classes(4)) == 30
     assert sum(sc.class_size for sc in subgroup_classes(5)) == 156
+    assert sum(sc.class_size for sc in subgroup_classes(6)) == 1455
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
