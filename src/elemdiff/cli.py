@@ -106,6 +106,8 @@ def _cmd_trees_enum(args, config):
                            "trees": [t.parent_list() for t in trees]})
 
 
+# its own function only because bench/tracing.py traces it by this name,
+# which tests/test_bench_layers.py checks
 def _orbit_representatives(n: int) -> list:
     """Lex-min member of every relabelling orbit: the one-colour labelled orbits."""
     return [obj.tree for obj in enumerate_labelled(n, 1, (n,))]

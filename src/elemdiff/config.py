@@ -21,7 +21,7 @@ class RunConfig:
         if self.random_bound < 1:
             raise PreconditionError("random bound must be positive")
 
+    # kept only because bench/run.py's environment probe reads it
     def resolved_threads(self) -> int:
-        """Always 1: every computation runs serially.  Kept for callers that
-        report the thread count of their environment."""
+        """Always 1: every computation runs serially."""
         return 1

@@ -97,16 +97,6 @@ class CharacterRow:
         if len(self.values) != len(conjugacy_classes(self.n)):
             raise MismatchError("one value per conjugacy class")
 
-    def value(self, partition) -> int:
-        want = tuple(sorted(partition, reverse=True))
-        for cc, v in zip(conjugacy_classes(self.n), self.values):
-            if cc.partition == want:
-                return v
-        raise PreconditionError(f"{partition} is not a cycle type of degree {self.n}")
-
-    def value_at(self, g: Permutation) -> int:
-        return self.value(g.cycle_type())
-
     def inner(self, other: "CharacterRow") -> Fraction:
         if self.n != other.n:
             raise MismatchError("characters live on one group")
@@ -263,14 +253,6 @@ def subgroup_classes(n: int = 5) -> tuple:
                                      fixes_point=fixes,
                                      label=f"order{order}{chr(ord('a') + i)}"))
     return tuple(out)
-
-
-def point_stabilizer_class(n: int) -> SubgroupClass:
-    """The class of the full stabilizer of one point."""
-    for sub in subgroup_classes(n):
-        if sub.order == math.factorial(n - 1) and sub.fixes_point:
-            return sub
-    raise PreconditionError("no point stabilizer found")  # cannot happen
 
 
 # ---------------------------------------------------------------------------

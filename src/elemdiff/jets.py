@@ -73,9 +73,6 @@ class Jet:
     def coeff(self, alpha, comp: int = 1) -> Fraction:
         return self.comps[comp - 1].get(tuple(alpha), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.comps)
-
     def __eq__(self, other):
         return (isinstance(other, Jet) and self.d == other.d
                 and self.degree == other.degree and self.comps == other.comps)
@@ -116,21 +113,6 @@ class Jet:
                 "jet exponents must be comma-separated integers and coefficients "
                 "integers or fractions")
         return Jet(obj["d"], obj["D"], comps)
-
-
-def zero_jet(d: int, degree: int) -> Jet:
-    return Jet(d, degree, [{} for _ in range(d)])
-
-
-def monomial_jet(d: int, degree: int, alpha, comp: int, ncomps: int | None = None,
-                 coeff=1) -> Jet:
-    """coeff * x^alpha in output slot `comp`, zero elsewhere."""
-    ncomps = ncomps if ncomps is not None else d
-    if not 1 <= comp <= ncomps:
-        raise PreconditionError(f"component {comp} out of range")
-    comps = [{} for _ in range(ncomps)]
-    comps[comp - 1][tuple(alpha)] = Fraction(coeff)
-    return Jet(d, degree, comps)
 
 
 def add(a: Jet, b: Jet) -> Jet:
@@ -214,32 +196,6 @@ def truncate(a: Jet, degree: int) -> Jet:
     return Jet(a.d, degree, [
         {al: q for al, q in comp.items() if sum(al) <= degree} for comp in a.comps
     ])
-
-
-def eval_at_zero(a: Jet) -> tuple[Fraction, ...]:
-    origin = (0,) * a.d
-    return tuple(comp.get(origin, Fraction(0)) for comp in a.comps)
-
-
-def restrict(a: Jet) -> Jet:
-    """Set the last variable to zero and drop the last component."""
-    if a.d < 2 or a.ncomps != a.d:
-        raise PreconditionError("restrict needs a full vector jet with d >= 2")
-    comps = []
-    for comp in a.comps[:-1]:
-        comps.append({
-            alpha[:-1]: q for alpha, q in comp.items() if alpha[-1] == 0
-        })
-    return Jet(a.d - 1, a.degree, comps)
-
-
-def monomial_basis(d: int, degree: int) -> list[Jet]:
-    """All x^alpha e_k with |alpha| <= degree; d * C(degree+d, d) of them."""
-    return [
-        monomial_jet(d, degree, alpha, k)
-        for alpha in monomials_up_to(d, degree)
-        for k in range(1, d + 1)
-    ]
 
 
 def monomial_basis_size(d: int, degree: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
 from .trees import ROOT, Tree
@@ -39,19 +39,6 @@ class LabelledObject:
             raise MismatchError("one label per vertex")
         if any(not isinstance(x, int) or x < 1 for x in self.labels):
             raise PreconditionError("labels are positive integers")
-
-    def multiplicities(self, ell: int | None = None) -> tuple:
-        top = ell if ell is not None else max(self.labels)
-        if top < max(self.labels):
-            raise PreconditionError("label exceeds the declared count")
-        return tuple(sum(1 for x in self.labels if x == i) for i in range(1, top + 1))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": self.tree.parent_list(),
-            "labels": list(self.labels),
-            "multiplicities": list(self.multiplicities()),
-        }
 
 
 def _lex_min(tree: Tree, labels) -> tuple:
@@ -80,21 +67,6 @@ def canonicalize_labelled(base: Tree, labels) -> LabelledObject:
         raise PreconditionError("canonicalization needs vertex set {1..n}")
     entries, colours = _lex_min(base, labels)
     return LabelledObject(Tree(entries), colours)
-
-
-def identify(phi, obj: LabelledObject) -> LabelledObject:
-    """Push the labels through a colour map and re-canonicalize.
-
-    phi may be a callable or a mapping on the colours in use; composing two
-    pushes equals pushing the composition because both ends are canonical.
-    """
-    if isinstance(phi, Mapping):
-        mapped = [phi[x] for x in obj.labels]
-    else:
-        mapped = [phi(x) for x in obj.labels]
-    if any(not isinstance(x, int) or x < 1 for x in mapped):
-        raise PreconditionError("colour map must land in positive integers")
-    return canonicalize_labelled(obj.tree, mapped)
 
 
 def enumerate_labelled(n: int, ell: int,

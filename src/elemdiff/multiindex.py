@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, SizeLimitError
 from .jets import _compositions
-from .trees import Permutation, Tree
+from .trees import Tree
 
 MAX_ENUM_N = 12
 
@@ -76,16 +76,6 @@ def enumerate_multi_indices(n: int) -> list[MultiIndex]:
     if n > MAX_ENUM_N:
         raise SizeLimitError(f"n={n} exceeds the enumeration guard ({MAX_ENUM_N})")
     return [MultiIndex(a) for a in _compositions(n - 1, n)]
-
-
-def relabel_multi_index(mi: MultiIndex, sigma: Permutation) -> MultiIndex:
-    """Move the arity at v to sigma(v)."""
-    if sigma.degree != mi.n:
-        raise PreconditionError("permutation degree mismatch")
-    out = [0] * mi.n
-    for v in range(1, mi.n + 1):
-        out[sigma(v) - 1] = mi.arity(v)
-    return MultiIndex(tuple(out))
 
 
 def tree_with_arities(mi: MultiIndex) -> Tree:

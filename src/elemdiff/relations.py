@@ -47,7 +47,6 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .config import DEFAULT_RANDOM_BOUND, RunConfig
-from .differentials import tree_value_at_zero
 from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
 from .jets import monomial_basis_size, monomials_up_to, random_jet_tuple
@@ -145,14 +144,6 @@ class EvalMatrix:
     @property
     def ncols(self) -> int:
         return len(self.tuples) * self.d
-
-    def check_entry(self, r: int, c: int) -> bool:
-        """Recompute one entry from scratch (spot-check hook)."""
-        t, k = divmod(c, self.d)
-        tree, labels = self.rows[r]
-        jets = {v: self.tuples[t][labels[v - 1] - 1] for v in tree.vertices}
-        return tree_value_at_zero(tree, jets)[k] == self.data[r][c]
-
 
 def build_matrix(rows: Sequence, d: int, stream: JetStream, tuples: int) -> EvalMatrix:
     """Evaluate every row on the first `tuples` jet tuples of `stream`,
@@ -289,6 +280,8 @@ def minor_is_nonsingular_mod(matrix, row_positions, col_positions,
     return {r: tuple(x[j] for x in solved) for j, r in enumerate(others)}
 
 
+# kept in the package only because bench/tracing.py traces it, which
+# tests/test_bench_layers.py checks; the tests use it as the rank oracle
 def exact_rank(matrix, method: str = "bareiss") -> tuple:
     """Exact rank of a small matrix; returns (rank, pivot_rows, pivot_cols).
 
@@ -762,29 +755,6 @@ def dimension_labelled(d: int, n: int, multiplicities,
     multiplicities = tuple(multiplicities)
     reps = enumerate_labelled(n, len(multiplicities), multiplicities)
     return dimension_certificate([(o.tree, o.labels) for o in reps], d, config)
-
-
-def relation_vector(rel: CertifiedRelation, nrows: int):
-    v = [Fraction(0)] * nrows
-    for pos, q in rel.coeffs:
-        v[pos] = q
-    return v
-
-
-def reduce_against(vector, relations):
-    """Remainder of a row-combination vector modulo echelonised relations."""
-    v = list(vector)
-    for rel in relations:
-        lead = rel.leading
-        if v[lead]:
-            f = v[lead]  # relation has coefficient 1 at its leading position
-            for pos, q in rel.coeffs:
-                v[pos] -= f * q
-    return v
-
-
-def in_relation_span(vector, relations) -> bool:
-    return not any(reduce_against(vector, relations))
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,6 @@ class Permutation:
         return sum(1 for v in range(1, self.degree + 1) if self(v) == v)
 
 
-def all_permutations(n: int) -> list[Permutation]:
-    if n > MAX_ENUM_VERTICES:
-        raise SizeLimitError(f"refusing to enumerate S_{n}")
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-
-
 def _reaches_root(pmap: dict) -> bool:
     """True iff every vertex of a parent map walks down to the root, i.e.
     the map has no cycle; every parent must itself be a key or ROOT.  A walk
@@ -270,48 +264,6 @@ def find_sigma(src: Tree, dst: Tree) -> Permutation:
             images[a] = b
     images[src.root] = dst.root
     return Permutation(tuple(images[v] for v in range(1, src.size + 1)))
-
-
-def bplus(root: int, parts) -> Tree:
-    """New root vertex adopting the given trees' roots as its children."""
-    if root <= 0:
-        raise PreconditionError("root label must be positive")
-    entries = [(root, ROOT)]
-    seen = {root}
-    for part in parts:
-        overlap = seen.intersection(part.vertices)
-        if overlap:
-            raise MismatchError(f"vertex labels shared: {sorted(overlap)}")
-        seen.update(part.vertices)
-        for v, p in part.entries:
-            entries.append((v, root if p == ROOT else p))
-    return Tree(tuple(sorted(entries)))
-
-
-def subtree_above(tree: Tree, v: int) -> Tree:
-    """The subtree rooted at v, keeping original labels."""
-    keep = set()
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        keep.add(w)
-        stack.extend(tree.children(w))
-    return Tree(tuple(sorted(
-        (w, ROOT if w == v else p) for w, p in tree.entries if w in keep
-    )))
-
-
-def graft_sum(scion: Tree, stock: Tree) -> list[Tree]:
-    """All single-edge attachments of scion's root below a vertex of stock."""
-    if set(scion.vertices) & set(stock.vertices):
-        raise MismatchError("vertex labels shared between the two trees")
-    out = []
-    for v in stock.vertices:
-        entries = list(stock.entries)
-        for w, p in scion.entries:
-            entries.append((w, v if p == ROOT else p))
-        out.append(Tree(tuple(sorted(entries))))
-    return out
 
 
 def chain_tree(order) -> Tree:

@@ -29,7 +29,6 @@ from elemdiff import (
     CharacterRow,
     Permutation,
     RunConfig,
-    all_permutations,
     canonicalize_labelled,
     conjugacy_classes,
     constraint_scan,
@@ -38,13 +37,7 @@ from elemdiff import (
     enumerate_trees,
     eval_multiindex,
     eval_tree,
-    eval_tree_labelled,
-    find_distinguishing_witness,
     find_sigma,
-    graft_sum,
-    identify,
-    point_stabilizer_class,
-    pre_lie,
     project_arities,
     random_jet,
     reduced_tree_character,
@@ -59,9 +52,20 @@ from elemdiff import (
     certify_relation,
 )
 from elemdiff.cli import main as cli_main
-from elemdiff.jets import add, monomial_jet, scale, truncate
-from elemdiff.relations import exact_rank, in_relation_span
+from elemdiff.jets import add, scale, truncate
+from elemdiff.relations import exact_rank
 from elemdiff.trees import Tree
+from oracles import (
+    all_permutations,
+    eval_tree_labelled,
+    find_distinguishing_witness,
+    graft_sum,
+    identify,
+    in_relation_span,
+    monomial_jet,
+    point_stabilizer_class,
+    pre_lie,
+)
 
 CFG = RunConfig()
 

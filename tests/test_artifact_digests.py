@@ -9,8 +9,11 @@ of the artifact they print.  The subgroup records of S_4, S_5 and S_6 are pinned
 too: `groups scan` prints only its survivors' generators, so these three
 are what fix every class's label, order, class size and generator list.  The
 orbit runs, `trees canon --n 6` in both formats and two labelled profiles at
-n = 5, pin the representatives that `labelling` builds.  A change that alters any byte of these
-artifacts fails here and has to say which field changed and why.
+n = 5, pin the representatives that `labelling` builds.  The tree and
+multi-index enumerations, one projection and the n = 3 character table pin
+the outputs of `trees`, `multiindex` and `groups` that no run above prints.
+A change that alters any byte of these artifacts fails here and has to say
+which field changed and why.
 """
 
 import hashlib
@@ -74,6 +77,16 @@ PINNED = (
      "456dea3d71821c5e996477d6bf48a9954730b280ee8baae5680464314fc3af14"),
     ("dim w --dim 2 --n 5 --labels 1,1,1,1,1",
      "4d6463ae895b956518823050895ce7f1bb620a80acef522d2a4b0f99b2f44409"),
+    ("trees enum --n 5",
+     "0bbd0880dc90bd128343113be36cfaa676f0f80b17c80384a6ee8f356eb09418"),
+    ("trees enum --n 5 --format json",
+     "7dfb9d7bd1864ad702a2d89f3b6dbfd5531c55b8da6f281a38e589e9b643abdc"),
+    ("mi enum --n 5 --format json",
+     "5aa0beda30e6b9eda4c6599729d228bcadad1d61087663bb9c91c30771bd21ce"),
+    ("mi project --tree [0,1,1,2] --format json",
+     "081951c6ff8d4096cad0f27d54a6f53a446748d3971e2b44c852f1c669af14eb"),
+    ("char table --n 3 --format json",
+     "4f9e167a68af16dc69e94c9a515365bad1f7e43699514034df198ec4a1c807d8"),
 )
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -103,6 +104,41 @@ def test_eval_g_scalar_only(capsys, tmp_path):
     assert json.loads(out)["d"] == 1
     # the bare comma form names the same multi-index
     assert run_cli(capsys, "eval", "g", "--mi", "2,0,0", "--inputs", str(path))[1] == out
+
+
+# fixed jets files with fractional coefficients, and the sha256 of what
+# `eval f` and `eval g` print for them
+EVAL_F_JETS = [
+    {"d": 2, "D": 3, "components": [{"0,0": "1", "1,0": "-2", "0,1": "1/2", "2,1": "3"},
+                                    {"0,0": "-1", "1,1": "2", "0,2": "5/3"}]},
+    {"d": 2, "D": 3, "components": [{"0,0": "2", "0,1": "-1", "2,0": "1/4"},
+                                    {"1,0": "3", "1,2": "-2"}]},
+    {"d": 2, "D": 3, "components": [{"0,0": "-3", "1,0": "1", "1,1": "2/5"},
+                                    {"0,0": "1", "0,1": "4", "3,0": "-1"}]},
+]
+EVAL_G_JETS = [
+    {"d": 1, "D": 4, "components": [{"0": "1", "1": "-2", "2": "1/3", "4": "5"}]},
+    {"d": 1, "D": 4, "components": [{"0": "-1", "2": "2", "3": "7/2"}]},
+    {"d": 1, "D": 4, "components": [{"0": "4", "1": "1", "3": "-1/5"}]},
+]
+EVAL_PINNED = (
+    (EVAL_F_JETS, ("f", "--tree", "[0,1,1]"),
+     "a6fc1b51a42fde6d9b900470c2d669a6019ebadc4652537ee6a80cd686bac377"),
+    (EVAL_F_JETS, ("f", "--tree", "[0,1,2]", "--degree", "2"),
+     "c59260fb6de880399a4c127650183b3a0798afe7139e8f0e1eb383b3bfc71e7e"),
+    (EVAL_G_JETS, ("g", "--mi", "2,0,0"),
+     "7434b4d014cc6fcd7647d1abfdb1bfcb1114d6c55521defbba19ac7749a9a524"),
+)
+
+
+@pytest.mark.parametrize("jets,argv,digest", EVAL_PINNED,
+                         ids=[" ".join(argv) for _, argv, _ in EVAL_PINNED])
+def test_eval_artifact_digest_is_pinned(capsys, tmp_path, jets, argv, digest):
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(jets))
+    code, out, _ = run_cli(capsys, "eval", *argv, "--inputs", str(path), "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("jet", [

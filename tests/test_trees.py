@@ -8,21 +8,18 @@ from elemdiff import (
     Permutation,
     PreconditionError,
     Tree,
-    all_permutations,
-    bplus,
     canonicalize_labelled,
     chain_tree,
     enumerate_trees,
     find_sigma,
-    graft_sum,
     is_linear,
     relabel,
     retarget,
     retarget_edges,
-    subtree_above,
 )
 from elemdiff.multiindex import project_arities
 from elemdiff.trees import _reaches_root
+from oracles import all_permutations, graft_sum
 
 # Cayley: n^(n-1) labelled rooted trees on n vertices.
 TREE_COUNTS = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
@@ -267,25 +264,7 @@ def test_find_sigma_rejects_arity_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# structural builders
-
-
-def test_bplus_subtree_decomposition():
-    for t in enumerate_trees(4):
-        parts = [subtree_above(t, c) for c in t.children(t.root)]
-        assert bplus(t.root, parts) == t
-
-
-def test_bplus_rejects_label_collision():
-    with pytest.raises(MismatchError):
-        bplus(1, [chain_tree([2, 3]), chain_tree([3, 4])])
-
-
-def test_subtree_above_keeps_labels():
-    t = Tree.from_parents([0, 1, 2, 2, 1])
-    sub = subtree_above(t, 2)
-    assert sub.root == 2
-    assert set(sub.vertices) == {2, 3, 4}
+# grafting
 
 
 def test_graft_sum_structure():
