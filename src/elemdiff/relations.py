@@ -145,6 +145,7 @@ class EvalMatrix:
     def ncols(self) -> int:
         return len(self.tuples) * self.d
 
+
 def build_matrix(rows: Sequence, d: int, stream: JetStream, tuples: int) -> EvalMatrix:
     """Evaluate every row on the first `tuples` jet tuples of `stream`,
     reading values at the origin."""

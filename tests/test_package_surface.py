@@ -17,7 +17,7 @@ ALLOWED = {
     "retarget_edges": "README documents retargeting",
     "find_sigma": "README documents retargeting",
     "canonicalize_labelled": "README documents the canonical representative",
-    "tree_with_arities": "ROADMAP item 3 grows it into the block-row builder",
+    "tree_with_arities": "ROADMAP item 3 grows it to build a block's rows",
     "trace_on_span": "ROADMAP item 3 reads block characters with it",
     "exact_rank": "bench/tracing.py traces it; tests/test_bench_layers.py checks that",
 }
