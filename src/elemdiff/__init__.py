@@ -6,12 +6,11 @@ from .config import RunConfig
 from .errors import (ElemdiffError, MismatchError, PreconditionError,
                      SizeLimitError, SpanInstabilityError)
 from .trees import (Permutation, Tree, chain_tree, enumerate_trees, find_sigma,
-                    is_linear, relabel, retarget, retarget_edges)
-from .multiindex import (MultiIndex, enumerate_multi_indices, project_arities,
-                         tree_with_arities)
+                    relabel, retarget, retarget_edges, trees_with_arities)
+from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .jets import (Jet, add, assemble, component, monomial_basis_size,
                    monomials_up_to, mul_scalar, multi_partial, partial,
-                   random_jet, random_jet_tuple, scale, truncate)
+                   random_jet, random_jet_tuple, truncate)
 from .differentials import (eval_multiindex, eval_tree,
                             standard_identity_tree_terms)
 from .relations import (CertifiedRelation, CertifyResult,

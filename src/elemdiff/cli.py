@@ -110,7 +110,7 @@ def _cmd_trees_enum(args, config):
 # which tests/test_bench_layers.py checks
 def _orbit_representatives(n: int) -> list:
     """Lex-min member of every relabelling orbit: the one-colour labelled orbits."""
-    return [obj.tree for obj in enumerate_labelled(n, 1, (n,))]
+    return [obj.tree for obj in enumerate_labelled((n,))]
 
 
 def _cmd_trees_canon(args, config):

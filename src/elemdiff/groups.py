@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
-from .trees import Permutation, compose_with, enumerate_trees, inverse_images
+from .trees import Permutation, compose_with, inverse_images, parent_lists
 
 MAX_SUBGROUP_DEGREE = 6
 MAX_TREE_CHARACTER_DEGREE = 5
@@ -120,7 +120,7 @@ def tree_fixed_character(n: int) -> CharacterRow:
     sigma(0) = 0 keeps the root mark."""
     if n > MAX_TREE_CHARACTER_DEGREE:
         raise SizeLimitError(f"tree character needs n <= {MAX_TREE_CHARACTER_DEGREE}")
-    parents = [t.parent_list() for t in enumerate_trees(n)]
+    parents = list(parent_lists(n))
     vals = []
     for cc in conjugacy_classes(n):
         images = cc.representative.images

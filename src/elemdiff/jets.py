@@ -127,11 +127,6 @@ def add(a: Jet, b: Jet) -> Jet:
     return Jet(a.d, a.degree, comps)
 
 
-def scale(q, a: Jet) -> Jet:
-    q = Fraction(q)
-    return Jet(a.d, a.degree, [{al: q * c for al, c in comp.items()} for comp in a.comps])
-
-
 def component(a: Jet, j: int) -> Jet:
     """Component j as a scalar jet over the same variables."""
     if not 1 <= j <= a.ncomps:

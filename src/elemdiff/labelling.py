@@ -3,7 +3,8 @@
 A labelled object is a tree plus one colour per vertex, taken modulo the
 diagonal action (permute vertices, transport colours along).  Objects are
 stored as the lex-min member of their orbit in (parent list, colours), so
-equality of orbits is equality of representatives.
+equality of orbits is equality of representatives.  They come one colour
+profile (k_1, ..., k_ell) at a time, on n = k_1 + ... + k_ell vertices.
 
 That member is built directly.  Its root is 1 and vertex k's parent is the
 lowest-numbered vertex with unnumbered children: the numbering is
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import MismatchError, PreconditionError, SizeLimitError
 from .trees import ROOT, Tree
@@ -69,38 +69,29 @@ def canonicalize_labelled(base: Tree, labels) -> LabelledObject:
     return LabelledObject(Tree(entries), colours)
 
 
-def enumerate_labelled(n: int, ell: int,
-                       multiplicities: Optional[tuple] = None) -> list:
-    """All orbits of (tree, labels in [ell]^n), optionally of one colour
-    profile, each as its lex-min member in (entries, labels), ascending.
+def enumerate_labelled(profile) -> list:
+    """All orbits of (tree, colouring) in which colour c is on profile[c-1]
+    of the n = sum(profile) vertices, each as its lex-min member in
+    (entries, labels), ascending.
 
     Shapes of k vertices are the lex-min members of those of k - 1 with a
     leaf added; each is its own lex-min member, so its orbits are the
-    distinct lex-min colours of the label vectors.
+    distinct lex-min colours of the colour vectors.
     """
+    profile = tuple(profile)
+    n = sum(profile)
+    if any(k < 0 for k in profile):
+        raise PreconditionError("colour counts must be nonnegative")
     if n < 1:
         raise PreconditionError("need n >= 1")
-    if ell < 1:
-        raise PreconditionError("need at least one colour")
     if (n - 2) * math.log(n) > math.log(MAX_WALK_PAIRS):  # n^(n-2) alone; no huge power
         raise SizeLimitError(f"work proxy {n}^{n - 2} alone exceeds {MAX_WALK_PAIRS}")
-    if multiplicities is None:
-        colours = range(1, ell + 1)
-        vector_count = ell ** n
-    else:
-        multiplicities = tuple(multiplicities)
-        if len(multiplicities) != ell or any(k < 0 for k in multiplicities):
-            raise PreconditionError("profile must list one count per colour")
-        if sum(multiplicities) != n:
-            raise MismatchError("colour counts must sum to the vertex count")
-        colours = [c for c, k in enumerate(multiplicities, start=1) if k]
-        vector_count = math.factorial(n) // math.prod(map(math.factorial, multiplicities))
-    pairs = n ** (n - 1) // n * vector_count  # n^(n-2) x colourings
+    pairs = n ** (n - 1) // n * math.factorial(n) // math.prod(map(math.factorial, profile))
     if pairs > MAX_WALK_PAIRS:
         raise SizeLimitError(f"work proxy n^(n-2) x colourings = {pairs} exceeds {MAX_WALK_PAIRS}")
+    colours = [c for c, k in enumerate(profile, start=1) if k]
     vectors = [labels for labels in itertools.product(colours, repeat=n)
-               if multiplicities is None
-               or all(labels.count(c) == multiplicities[c - 1] for c in colours)]
+               if all(labels.count(c) == profile[c - 1] for c in colours)]
     shapes = [Tree(((1, ROOT),))]
     for k in range(2, n + 1):
         grown = {_lex_min(Tree(shape.entries + ((k, v),)), (1,) * k)[0]

@@ -33,9 +33,6 @@ class MultiIndex:
     def arity(self, v: int) -> int:
         return self.arities[v - 1]
 
-    def is_linear(self) -> bool:
-        return all(a <= 1 for a in self.arities)
-
     def orbit_code(self) -> str:
         """Shared by exactly the relabellings of this multi-index."""
         return ",".join(str(a) for a in sorted(self.arities, reverse=True))
@@ -77,27 +74,3 @@ def enumerate_multi_indices(n: int) -> list[MultiIndex]:
         raise SizeLimitError(f"n={n} exceeds the enumeration guard ({MAX_ENUM_N})")
     return [MultiIndex(a) for a in _compositions(n - 1, n)]
 
-
-def tree_with_arities(mi: MultiIndex) -> Tree:
-    """Some tree whose arity projection is mi (greedy breadth-first packing).
-
-    Placing vertices in descending-arity order can never exhaust open slots
-    early: if the first j placed vertices carried fewer than j slots, every
-    later vertex would have arity 0 and the total could not reach n-1.
-    """
-    order = sorted(range(1, mi.n + 1), key=lambda v: (-mi.arity(v), v))
-    root = order[0]
-    pmap = {root: 0}
-    open_slots = [(root, mi.arity(root))] if mi.arity(root) else []
-    for v in order[1:]:
-        if not open_slots:
-            raise PreconditionError("slot packing failed")  # unreachable for valid arities
-        parent, cap = open_slots[0]
-        pmap[v] = parent
-        if cap == 1:
-            open_slots.pop(0)
-        else:
-            open_slots[0] = (parent, cap - 1)
-        if mi.arity(v):
-            open_slots.append((v, mi.arity(v)))
-    return Tree.from_parent_map(pmap)

@@ -51,8 +51,8 @@ from .errors import (MismatchError, PreconditionError, SizeLimitError,
                      SpanInstabilityError)
 from .jets import monomial_basis_size, monomials_up_to, random_jet_tuple
 from .labelling import enumerate_labelled
-from .multiindex import project_arities
-from .trees import Tree, Permutation, enumerate_trees, is_linear, relabel
+from .multiindex import enumerate_multi_indices, project_arities
+from .trees import Tree, Permutation, enumerate_trees, relabel, trees_with_arities
 
 # ---------------------------------------------------------------------------
 # rows: (Tree, labels) with labels[v-1] = the input slot vertex v reads
@@ -722,11 +722,17 @@ def _certify_block(rows, key, positions, d, stream) -> BlockCertificate:
 # ---------------------------------------------------------------------------
 # named spans
 
+def _orbit_rows(n: int, orbit_code: str) -> list:
+    """The trees whose arity vector lies in the orbit, in enumeration order."""
+    return trees_with_arities([mi.arities for mi in enumerate_multi_indices(n)
+                               if mi.orbit_code() == orbit_code])
+
+
 def span_rows(n: int, linear_only: bool = False) -> list:
-    trees = enumerate_trees(n)
+    """All trees on {1..n}, or only the linear ones: the chain orbit 1,...,1,0."""
     if linear_only:
-        trees = [t for t in trees if is_linear(t)]
-    return trees
+        return _orbit_rows(n, ",".join(["1"] * (n - 1) + ["0"]))
+    return enumerate_trees(n)
 
 
 def _check_span(n: int):
@@ -753,8 +759,9 @@ def dimension_labelled(d: int, n: int, multiplicities,
     """
     config = config or RunConfig()
     _check_span(n)
-    multiplicities = tuple(multiplicities)
-    reps = enumerate_labelled(n, len(multiplicities), multiplicities)
+    if sum(multiplicities) != n:
+        raise MismatchError("colour counts must sum to the vertex count")
+    reps = enumerate_labelled(multiplicities)
     return dimension_certificate([(o.tree, o.labels) for o in reps], d, config)
 
 
@@ -805,8 +812,7 @@ def block_basis(d: int, n: int, orbit_code: str,
     """
     config = config or RunConfig()
     _check_span(n)
-    rows = [t for t in enumerate_trees(n)
-            if project_arities(t).orbit_code() == orbit_code]
+    rows = _orbit_rows(n, orbit_code)
     if not rows:
         raise PreconditionError(f"no multi-index matches orbit {orbit_code!r}")
     return dimension_certificate(rows, d, config)

@@ -202,21 +202,46 @@ class Tree:
         return tuple(sorted((p, v) for v, p in self.entries if p != ROOT))
 
 
-def enumerate_trees(n: int) -> list[Tree]:
-    """All n^(n-1) rooted trees on {1..n}, roots ascending, then parent lists ascending."""
+def parent_lists(n: int, multisets=None):
+    """Parent lists (parent of 1, ..., parent of n; 0 at the root) of the
+    rooted trees on {1..n}, roots ascending, then lists ascending.  For each
+    root the non-root vertices' parents run over {1..n}^(n-1), or, given
+    `multisets` of parents, over their distinct arrangements only."""
     if n < 1:
         raise PreconditionError("need n >= 1")
     if n > MAX_ENUM_VERTICES:
         raise SizeLimitError(f"n={n} exceeds the enumeration guard ({MAX_ENUM_VERTICES})")
-    trees = []
+    arranged = None if multisets is None else sorted(
+        {p for m in multisets for p in itertools.permutations(m)})
     for root in range(1, n + 1):
         others = [v for v in range(1, n + 1) if v != root]
-        for parents in itertools.product(range(1, n + 1), repeat=n - 1):
+        for parents in (itertools.product(range(1, n + 1), repeat=n - 1)
+                        if arranged is None else arranged):
             pmap = dict(zip(others, parents))
             pmap[root] = ROOT
             if _reaches_root(pmap):
-                trees.append(Tree.from_parent_map(pmap))
-    return trees
+                yield parents[:root - 1] + (ROOT,) + parents[root - 1:]
+
+
+def enumerate_trees(n: int) -> list[Tree]:
+    """All n^(n-1) rooted trees on {1..n}, roots ascending, then parent lists ascending."""
+    return [Tree.from_parents(p) for p in parent_lists(n)]
+
+
+def trees_with_arities(vectors) -> list[Tree]:
+    """The rooted trees on {1..n} whose arity vector (vertex v's child count
+    at v - 1) is one of `vectors`, in `enumerate_trees` order.  Vertex v
+    parents a_v vertices, so each root tries only the (n - 1)!/prod a_v!
+    arrangements of that parent multiset; a vector has as many trees."""
+    vectors = [tuple(a) for a in vectors]
+    if not vectors:
+        return []
+    n = len(vectors[0])
+    if any(len(a) != n or sum(a) != n - 1 or min(a) < 0 for a in vectors):
+        raise PreconditionError(f"arity vectors must be n={n} counts summing to n-1")
+    multisets = [tuple(v for v, a_v in enumerate(a, start=1) for _ in range(a_v))
+                 for a in set(vectors)]
+    return [Tree.from_parents(p) for p in parent_lists(n, multisets)]
 
 
 def relabel(tree: Tree, sigma: Permutation) -> Tree:
@@ -275,7 +300,3 @@ def chain_tree(order) -> Tree:
     for a, b in zip(order, order[1:]):
         entries.append((b, a))
     return Tree(tuple(sorted(entries)))
-
-
-def is_linear(tree: Tree) -> bool:
-    return all(len(tree.children(v)) <= 1 for v in tree.vertices)

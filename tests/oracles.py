@@ -14,8 +14,9 @@ Each one computes by a route of its own, so an agreement is evidence:
     variables;
   * membership in the span of a certificate's relations, and the value of
     one evaluation-matrix entry recomputed from scratch;
-  * small constructions: all of S_n, grafting sums, relabelled
-    multi-indices, colour pushes, the point-stabiliser class.
+  * small constructions: all of S_n, grafting sums, the linear trees,
+    relabelled multi-indices, every colouring of n vertices in ell
+    colours, colour pushes, the point-stabiliser class, scaled jets.
 
 Import as `from oracles import ...`: pytest puts `tests/` on the path.
 """
@@ -30,10 +31,10 @@ from typing import Mapping
 
 from elemdiff import (LabelledObject, MismatchError, MultiIndex, Permutation,
                       PreconditionError, Tree, canonicalize_labelled,
-                      subgroup_classes)
+                      enumerate_labelled, subgroup_classes)
 from elemdiff.differentials import (_check_vector_jets, _jets_by_vertex,
                                     eval_tree, standard_identity_terms)
-from elemdiff.jets import Jet, add, assemble, component, mul_scalar, partial, scale
+from elemdiff.jets import Jet, _compositions, add, assemble, component, mul_scalar, partial
 from elemdiff.trees import ROOT
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,11 @@ def graft_sum(scion: Tree, stock: Tree) -> list[Tree]:
     return out
 
 
+def is_linear(tree: Tree) -> bool:
+    """Every vertex has at most one child: the tree is a chain."""
+    return all(len(tree.children(v)) <= 1 for v in tree.vertices)
+
+
 def relabel_multi_index(mi: MultiIndex, sigma: Permutation) -> MultiIndex:
     """Move the arity at v to sigma(v)."""
     if sigma.degree != mi.n:
@@ -73,6 +79,14 @@ def multiplicities(obj: LabelledObject, ell: int | None = None) -> tuple:
     if top < max(obj.labels):
         raise PreconditionError("label exceeds the declared count")
     return tuple(sum(1 for x in obj.labels if x == i) for i in range(1, top + 1))
+
+
+def all_colourings(n: int, ell: int) -> list[LabelledObject]:
+    """Every orbit of (tree on n vertices, labels in [ell]^n): the union of
+    the profiles' orbits over the weak compositions of n into ell parts,
+    ascending in (entries, labels)."""
+    objs = [o for profile in _compositions(n, ell) for o in enumerate_labelled(profile)]
+    return sorted(objs, key=lambda o: (o.tree.entries, o.labels))
 
 
 def identify(phi, obj: LabelledObject) -> LabelledObject:
@@ -111,6 +125,12 @@ def monomial_jet(d: int, degree: int, alpha, comp: int, ncomps: int | None = Non
     comps = [{} for _ in range(ncomps)]
     comps[comp - 1][tuple(alpha)] = Fraction(coeff)
     return Jet(d, degree, comps)
+
+
+def scale(q, a: Jet) -> Jet:
+    """q times every coefficient of a."""
+    q = Fraction(q)
+    return Jet(a.d, a.degree, [{al: q * c for al, c in comp.items()} for comp in a.comps])
 
 
 def eval_at_zero(a: Jet) -> tuple[Fraction, ...]:

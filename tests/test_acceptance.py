@@ -52,7 +52,7 @@ from elemdiff import (
     certify_relation,
 )
 from elemdiff.cli import main as cli_main
-from elemdiff.jets import add, scale, truncate
+from elemdiff.jets import add, truncate
 from elemdiff.relations import exact_rank
 from elemdiff.trees import Tree
 from oracles import (
@@ -65,6 +65,7 @@ from oracles import (
     monomial_jet,
     point_stabilizer_class,
     pre_lie,
+    scale,
 )
 
 CFG = RunConfig()

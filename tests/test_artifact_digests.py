@@ -12,6 +12,9 @@ orbit runs, `trees canon --n 6` in both formats and two labelled profiles at
 n = 5, pin the representatives that `labelling` builds.  The tree and
 multi-index enumerations, one projection and the n = 3 character table pin
 the outputs of `trees`, `multiindex` and `groups` that no run above prints.
+The last five pin the row builders' edge cases: the chain orbit at n = 5
+and at n = 1 (`--linear`), the orbit 3,0,0,0 in which one vertex parents
+every other, the one-colour orbits at n = 8, and a two-colour profile.
 A change that alters any byte of these artifacts fails here and has to say
 which field changed and why.
 """
@@ -87,6 +90,16 @@ PINNED = (
      "081951c6ff8d4096cad0f27d54a6f53a446748d3971e2b44c852f1c669af14eb"),
     ("char table --n 3 --format json",
      "4f9e167a68af16dc69e94c9a515365bad1f7e43699514034df198ec4a1c807d8"),
+    ("block basis --dim 1 --n 5 --mi-orbit 1,1,1,1,0",
+     "e2709855a1afd924c98ef83a7c5810d63409071ada6a6086adf2a0f86e6348a4"),
+    ("block basis --dim 2 --n 4 --mi-orbit 3,0,0,0",
+     "f4cf6abf36542cdcdb2353eb4a015e771a0ed17f6e4965b042ffbd64714dc499"),
+    ("dim w --dim 1 --n 1 --linear",
+     "34bb25da136990826b159eac74a1448bf86b78913f08dd110efe1859d3edd9f1"),
+    ("trees canon --n 8",
+     "6ccb96b0d55eb19d5a8f260f1236c55cf79f98f1b98e7520650bfb990123143d"),
+    ("dim w --dim 1 --n 5 --labels 3,2",
+     "94c0ea81fe2b6db946df2f974308c0dae94dcc2b56d57556b90e7fbac817afd1"),
 )
 
 

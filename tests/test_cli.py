@@ -375,6 +375,21 @@ def test_dim_w_empty_labels_is_a_json_error(capsys):
     assert set(json.loads(err)["error"]) == {"type", "message"}
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("dim", "w", "--dim", "1", "--n", "4", "--labels", "2,1"),
+     {"type": "MismatchError", "message": "colour counts must sum to the vertex count"}),
+    (("block", "basis", "--dim", "1", "--n", "4", "--mi-orbit", "2,1,0"),
+     {"type": "PreconditionError", "message": "no multi-index matches orbit '2,1,0'"}),
+    (("dim", "w", "--dim", "1", "--n", "3", "--labels", "2,-1,2"),  # sums to n
+     {"type": "PreconditionError", "message": "colour counts must be nonnegative"}),
+])
+def test_span_precondition_errors(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_dim_zero_is_a_json_error(capsys):
     code, out, err = run_cli(capsys, "dim", "w", "--dim", "0", "--n", "3")
     assert code == 2

@@ -19,7 +19,6 @@ from elemdiff import (
     random_jet,
     relabel,
     retarget,
-    scale,
     standard_identity_tree_terms,
     truncate,
 )
@@ -38,6 +37,7 @@ from oracles import (
     monomial_jet,
     monomial_term,
     pre_lie,
+    scale,
     standard_identity,
     tree_polynomial,
     tree_value_at_zero,

@@ -17,10 +17,9 @@ from elemdiff import (
     multi_partial,
     partial,
     random_jet,
-    scale,
     truncate,
 )
-from oracles import eval_at_zero, monomial_jet
+from oracles import eval_at_zero, monomial_jet, scale
 
 
 def test_monomial_enumeration():

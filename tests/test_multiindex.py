@@ -12,7 +12,7 @@ from elemdiff import (
     enumerate_trees,
     project_arities,
     relabel,
-    tree_with_arities,
+    trees_with_arities,
 )
 from oracles import all_permutations, relabel_multi_index
 
@@ -47,18 +47,26 @@ def test_projection_fibers_cover_everything():
 
 
 def test_projection_reads_off_child_counts():
-    t = tree_with_arities(MultiIndex((2, 0, 1, 0)))
-    assert project_arities(t) == MultiIndex((2, 0, 1, 0))
-    for v in t.vertices:
-        assert len(t.children(v)) == (2, 0, 1, 0)[v - 1]
+    trees = trees_with_arities([(2, 0, 1, 0)])
+    assert trees
+    for t in trees:
+        assert project_arities(t) == MultiIndex((2, 0, 1, 0))
+        for v in t.vertices:
+            assert len(t.children(v)) == (2, 0, 1, 0)[v - 1]
 
 
-def test_tree_with_arities_exhaustive():
-    for n in range(1, 6):
+def test_trees_with_arities_exhaustive():
+    # rooted trees on [n] with vertex v parenting a_v others: (n-1)!/prod a_v!
+    # (Stanley, EC2 5.3); over all vectors they are Cayley's n^(n-1)
+    for n in range(1, 7):
+        total = 0
         for mi in enumerate_multi_indices(n):
-            t = tree_with_arities(mi)
-            assert t.size == n
-            assert project_arities(t) == mi
+            trees = trees_with_arities([mi.arities])
+            assert len(trees) == (math.factorial(n - 1)
+                                  // math.prod(map(math.factorial, mi.arities)))
+            assert all(t.size == n and project_arities(t) == mi for t in trees)
+            total += len(trees)
+        assert total == n ** (n - 1)
 
 
 def test_relabel_equivariance():
@@ -89,14 +97,6 @@ def test_orbit_codes():
     for mi in enumerate_multi_indices(4):
         for s in all_permutations(4):
             assert relabel_multi_index(mi, s).orbit_code() == mi.orbit_code()
-
-
-def test_is_linear():
-    assert MultiIndex((1, 1, 0)).is_linear()
-    assert not MultiIndex((2, 0, 0)).is_linear()
-    linear = [mi for mi in enumerate_multi_indices(4) if mi.is_linear()]
-    # choose which vertex has arity 0: 4 ways
-    assert len(linear) == 4
 
 
 def test_text_round_trip():

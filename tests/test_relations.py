@@ -93,7 +93,7 @@ def test_batched_and_exact_entry_paths_agree():
     small = build_matrix(span_rows(3), 2, JetStream(31), 5)
     large = build_matrix(span_rows(4), 2, JetStream(31, bound=10**6), 3)
     assert max(abs(x) for row in large.data for x in row) >= 2**63
-    coloured = [(o.tree, o.labels) for o in enumerate_labelled(4, 2, (2, 2))]
+    coloured = [(o.tree, o.labels) for o in enumerate_labelled((2, 2))]
     assert any(len(set(labels)) < len(labels) for _, labels in coloured)
     corolla = Tree.from_parents([0, 1, 1, 1, 1])
     for m in (small, large, build_matrix(coloured, 2, JetStream(32), 3),
@@ -259,7 +259,7 @@ def _rows_of(d, n, profile):
     """(rows, input count, weights) of a plain span or of one colour profile."""
     if profile is None:
         return span_rows(n), n, (1,) * n
-    rows = [(o.tree, o.labels) for o in enumerate_labelled(n, len(profile), profile)]
+    rows = [(o.tree, o.labels) for o in enumerate_labelled(profile)]
     return rows, len(profile), profile
 
 
@@ -857,7 +857,7 @@ def test_seed_sweep_has_no_inconclusive_certificate():
     # seeds 0..29, and the seeds where a floor of 1 column a batch leaves one
     # of these spans inconclusive (10, 31, 55, 61, 74, 75, 85, 88; 31 at 4)
     spans = [(span_rows(5), 1, 70)]
-    labelled = [(o.tree, o.labels) for o in enumerate_labelled(4, 3, (2, 1, 1))]
+    labelled = [(o.tree, o.labels) for o in enumerate_labelled((2, 1, 1))]
     spans += [(labelled, 1, 13), (labelled, 2, 34)]
     for seed in [*range(30), 31, 55, 61, 74, 75, 85, 88]:
         for rows, d, dimension in spans:

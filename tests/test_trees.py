@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -12,14 +13,15 @@ from elemdiff import (
     chain_tree,
     enumerate_trees,
     find_sigma,
-    is_linear,
     relabel,
     retarget,
     retarget_edges,
+    span_rows,
+    trees_with_arities,
 )
-from elemdiff.multiindex import project_arities
+from elemdiff.multiindex import enumerate_multi_indices, project_arities
 from elemdiff.trees import _reaches_root
-from oracles import all_permutations, graft_sum
+from oracles import all_permutations, graft_sum, is_linear
 
 # Cayley: n^(n-1) labelled rooted trees on n vertices.
 TREE_COUNTS = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
@@ -47,6 +49,40 @@ def test_enumerated_trees_are_valid_and_deterministic():
         assert t.size == 4
         assert t.is_contiguous()
         assert t.parent_map[t.root] == 0
+
+
+def test_orbit_rows_are_the_enumeration_filtered_by_orbit():
+    # the builder over an orbit's vectors keeps `enumerate_trees` order
+    for n in range(1, 6):
+        trees = enumerate_trees(n)
+        for code in {mi.orbit_code() for mi in enumerate_multi_indices(n)}:
+            vectors = [mi.arities for mi in enumerate_multi_indices(n)
+                       if mi.orbit_code() == code]
+            assert trees_with_arities(vectors) == [
+                t for t in trees if project_arities(t).orbit_code() == code]
+
+
+def test_chain_orbit_rows_are_the_linear_trees():
+    for n in range(1, 7):
+        linear = [t for t in enumerate_trees(n) if is_linear(t)]
+        assert span_rows(n, linear_only=True) == linear
+        assert len(linear) == math.factorial(n)
+        # one arity vector per choice of the leaf: n of them
+        assert len({project_arities(t) for t in linear}) == n
+
+
+def test_trees_with_arities_past_the_full_enumeration():
+    # at n = 7 the 7^6 = 117,649 trees are never built
+    assert len(trees_with_arities([(1, 1, 1, 1, 1, 1, 0)])) == 720
+    assert len(trees_with_arities([(2, 1, 1, 1, 1, 0, 0)])) == 360
+
+
+def test_trees_with_arities_validation():
+    assert trees_with_arities([]) == []
+    with pytest.raises(PreconditionError):
+        trees_with_arities([(1, 1)])  # sums to 2, needs 1
+    with pytest.raises(PreconditionError):
+        trees_with_arities([(1, 0), (2, 0, 0)])  # two vertex counts
 
 
 def test_parent_list_round_trip():
