@@ -18,7 +18,7 @@ from .relations import (CertifiedRelation, CertifyResult,
                         block_basis, build_matrix, certify_relation,
                         dimension_certificate, dimension_labelled,
                         dimension_w, eliminate_mod, rational_reconstruct,
-                        span_rows, trace_on_span)
+                        trace_on_span)
 from .groups import (CharacterRow, ConjugacyClass, ScanReport, SubgroupClass,
                      character_table, conjugacy_classes, constraint_scan,
                      coset_character, reduced_tree_character,

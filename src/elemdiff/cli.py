@@ -48,7 +48,7 @@ def _parse_parents(text: str) -> Tree:
 
 
 def _parents_text(tree: Tree) -> str:
-    return "[" + ",".join(str(p) for p in tree.parent_list()) + "]"
+    return "[" + ",".join(str(p) for p in tree.parents) + "]"
 
 
 def _is_int(x) -> bool:
@@ -103,7 +103,7 @@ def _cmd_trees_enum(args, config):
     if args.format == "text":
         return "".join(_parents_text(t) + "\n" for t in trees)
     return _json_artifact({"n": args.n, "count": len(trees),
-                           "trees": [t.parent_list() for t in trees]})
+                           "trees": [list(t.parents) for t in trees]})
 
 
 # its own function only because bench/tracing.py traces it by this name,
@@ -118,7 +118,7 @@ def _cmd_trees_canon(args, config):
     if args.format == "text":
         return "".join(_parents_text(t) + "\n" for t in reps)
     return _json_artifact({"n": args.n, "orbitCount": len(reps),
-                           "representatives": [t.parent_list() for t in reps]})
+                           "representatives": [list(t.parents) for t in reps]})
 
 
 def _cmd_mi_enum(args, config):
@@ -231,7 +231,7 @@ def _cmd_groups_scan(args, config):
 def _cmd_block_basis(args, config):
     cert = block_basis(args.dim, args.n, orbit_code=args.mi_orbit, config=config)
     blocks = [{"arity": [a for (a,) in b.key], **b.to_json_dict(),
-               "basis": [cert.rows[r][0].parent_list() for r, _ in b.pivots]}
+               "basis": [list(cert.rows[r][0].parents) for r, _ in b.pivots]}
               for b in sorted(cert.block_bounds, key=lambda b: b.key)]
     return _json_artifact({"d": args.dim, "n": args.n, "orbit": args.mi_orbit,
                            "blocks": blocks, "totalDimension": cert.dimension})

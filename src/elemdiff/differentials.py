@@ -1,36 +1,23 @@
 """Differential maps attached to trees and multi-indices.
 
 `eval_tree` is the reference semantics on truncated jets, behind `eval f`;
-`eval_multiindex` is its one-variable factorisation, behind `eval g`.  The
-alternating chain sum's tree terms feed `identity s2d`.  The closed forms
-that cross-check these routes are test oracles, in `tests/oracles.py`.
+it reads one input per vertex, in vertex order.  `eval_multiindex` is its
+one-variable factorisation, behind `eval g`.  The alternating chain sum's
+tree terms feed `identity s2d`.  The closed forms that cross-check these
+routes are test oracles, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping
 
-from .errors import MismatchError, PreconditionError
+from .errors import MismatchError, PreconditionError, SizeLimitError
 from .jets import (Jet, add, assemble, component, mul_scalar, multi_partial,
                    truncate)
 from .multiindex import MultiIndex
+from .relations import MAX_COMPONENT_ASSIGNMENTS
 from .trees import Permutation, Tree, chain_tree
-
-
-def _jets_by_vertex(tree: Tree, inputs) -> dict:
-    if isinstance(inputs, Mapping):
-        missing = [v for v in tree.vertices if v not in inputs]
-        if missing:
-            raise MismatchError(f"no input for vertices {missing}")
-        return {v: inputs[v] for v in tree.vertices}
-    inputs = list(inputs)
-    if not tree.is_contiguous():
-        raise MismatchError("sequence inputs need vertex set {1..n}; pass a mapping")
-    if len(inputs) != tree.size:
-        raise MismatchError(f"{tree.size} vertices but {len(inputs)} inputs")
-    return {v: inputs[v - 1] for v in tree.vertices}
 
 
 def _check_vector_jets(jets):
@@ -46,14 +33,22 @@ def _check_vector_jets(jets):
 def eval_tree(tree: Tree, inputs, degree: int | None = None) -> Jet:
     """Evaluation from the leaves up: each vertex differentiates its function
     once per child, in the child's output component, and multiplies the child
-    values in.  It walks `Tree.order` backwards, with no recursion."""
-    jbv = _jets_by_vertex(tree, inputs)
-    d = _check_vector_jets(jbv.values())
+    values in.  It walks `Tree.order` backwards, with no recursion.  A vertex
+    with k children forms d ** k products, which may not exceed
+    `MAX_COMPONENT_ASSIGNMENTS`."""
+    inputs = list(inputs)
+    if len(inputs) != tree.size:
+        raise MismatchError(f"{tree.size} vertices but {len(inputs)} inputs")
+    d = _check_vector_jets(inputs)
+    widest = max(map(len, tree.children_map.values()))
+    if d ** widest > MAX_COMPONENT_ASSIGNMENTS:
+        raise SizeLimitError(f"d ** k = {d ** widest} products at a vertex with k = {widest} "
+                             f"children exceed {MAX_COMPONENT_ASSIGNMENTS}")
     if degree is not None:
-        jbv = {v: truncate(f, degree) for v, f in jbv.items()}
+        inputs = [truncate(f, degree) for f in inputs]
     values = {}
     for v in reversed(tree.order):
-        values[v] = _eval_vertex(jbv[v], [values.pop(c) for c in tree.children(v)], d)
+        values[v] = _eval_vertex(inputs[v - 1], [values.pop(c) for c in tree.children(v)], d)
     return values[tree.root]
 
 

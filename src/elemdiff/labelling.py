@@ -3,8 +3,10 @@
 A labelled object is a tree plus one colour per vertex, taken modulo the
 diagonal action (permute vertices, transport colours along).  Objects are
 stored as the lex-min member of their orbit in (parent list, colours), so
-equality of orbits is equality of representatives.  They come one colour
-profile (k_1, ..., k_ell) at a time, on n = k_1 + ... + k_ell vertices.
+equality of orbits is equality of representatives.  Every tree lives on
+{1..n}, so members compare as plain tuples, parent list first.  They come
+one colour profile (k_1, ..., k_ell) at a time, on n = k_1 + ... + k_ell
+vertices.
 
 That member is built directly.  Its root is 1 and vertex k's parent is the
 lowest-numbered vertex with unnumbered children: the numbering is
@@ -42,7 +44,7 @@ class LabelledObject:
 
 
 def _lex_min(tree: Tree, labels) -> tuple:
-    """(entries, colours) of the lex-min member of (tree, labels)'s orbit; each
+    """(parents, colours) of the lex-min member of (tree, labels)'s orbit; each
     subtree, leaves first, is keyed by a walk over its sorted children."""
     children = tree.children_map
     ordered, key = {}, {}
@@ -54,8 +56,8 @@ def _lex_min(tree: Tree, labels) -> tuple:
         key[v] = (tuple([-len(children[w]) for w in walk]),
                   tuple([labels[w - 1] for w in walk]))
     number = {w: i for i, w in enumerate(walk, start=1)}
-    entries = tuple([(number[w], number.get(tree.parent_map[w], ROOT)) for w in walk])
-    return entries, key[tree.root][1]
+    parents = tuple([number.get(tree.parents[w - 1], ROOT) for w in walk])
+    return parents, key[tree.root][1]
 
 
 def canonicalize_labelled(base: Tree, labels) -> LabelledObject:
@@ -63,16 +65,14 @@ def canonicalize_labelled(base: Tree, labels) -> LabelledObject:
     labels = tuple(labels)
     if len(labels) != base.size:
         raise MismatchError("one label per vertex")
-    if not base.is_contiguous():
-        raise PreconditionError("canonicalization needs vertex set {1..n}")
-    entries, colours = _lex_min(base, labels)
-    return LabelledObject(Tree(entries), colours)
+    parents, colours = _lex_min(base, labels)
+    return LabelledObject(Tree(parents), colours)
 
 
 def enumerate_labelled(profile) -> list:
     """All orbits of (tree, colouring) in which colour c is on profile[c-1]
     of the n = sum(profile) vertices, each as its lex-min member in
-    (entries, labels), ascending.
+    (parent list, labels), ascending.
 
     Shapes of k vertices are the lex-min members of those of k - 1 with a
     leaf added; each is its own lex-min member, so its orbits are the
@@ -92,10 +92,10 @@ def enumerate_labelled(profile) -> list:
     colours = [c for c, k in enumerate(profile, start=1) if k]
     vectors = [labels for labels in itertools.product(colours, repeat=n)
                if all(labels.count(c) == profile[c - 1] for c in colours)]
-    shapes = [Tree(((1, ROOT),))]
+    shapes = [Tree((ROOT,))]
     for k in range(2, n + 1):
-        grown = {_lex_min(Tree(shape.entries + ((k, v),)), (1,) * k)[0]
+        grown = {_lex_min(Tree(shape.parents + (v,)), (1,) * k)[0]
                  for shape in shapes for v in shape.vertices}
-        shapes = [Tree(entries) for entries in sorted(grown)]
+        shapes = [Tree(parents) for parents in sorted(grown)]
     return [LabelledObject(shape, labels) for shape in shapes
             for labels in sorted({_lex_min(shape, vector)[1] for vector in vectors})]

@@ -61,8 +61,6 @@ class MultiIndex:
 
 def project_arities(tree: Tree) -> MultiIndex:
     """Forget everything about a tree except each vertex's child count."""
-    if not tree.is_contiguous():
-        raise PreconditionError("projection needs vertex set {1..n}")
     return MultiIndex(tuple(len(tree.children(v)) for v in tree.vertices))
 
 

@@ -728,13 +728,6 @@ def _orbit_rows(n: int, orbit_code: str) -> list:
                                if mi.orbit_code() == orbit_code])
 
 
-def span_rows(n: int, linear_only: bool = False) -> list:
-    """All trees on {1..n}, or only the linear ones: the chain orbit 1,...,1,0."""
-    if linear_only:
-        return _orbit_rows(n, ",".join(["1"] * (n - 1) + ["0"]))
-    return enumerate_trees(n)
-
-
 def _check_span(n: int):
     """The one size rule of `dimension_w`, `dimension_labelled` and
     `block_basis`; `_check_assignments` bounds d.  n = 6 waits for transport."""
@@ -744,10 +737,12 @@ def _check_span(n: int):
 
 def dimension_w(d: int, n: int, linear: bool = False,
                 config: Optional[RunConfig] = None) -> DimensionCertificate:
-    """Certified dimension of the span of all (or all linear) arity-n rows."""
+    """Certified dimension of the span of all arity-n rows, or of the
+    linear ones: the chain orbit 1,...,1,0."""
     config = config or RunConfig()
     _check_span(n)
-    return dimension_certificate(span_rows(n, linear_only=linear), d, config)
+    rows = _orbit_rows(n, ",".join(["1"] * (n - 1) + ["0"])) if linear else enumerate_trees(n)
+    return dimension_certificate(rows, d, config)
 
 
 def dimension_labelled(d: int, n: int, multiplicities,

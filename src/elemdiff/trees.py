@@ -1,10 +1,8 @@
 """Labelled rooted trees and vertex permutations.
 
-A tree is stored as a sorted tuple of (vertex, parent) pairs with parent 0
-marking the root.  Vertex labels are positive integers and need not be
-contiguous, so grafting constructions with shifted labels stay first-class;
-operations that need the vertex set {1..n} say so.  A tree up to relabelling
-is named by its lex-min member, which `labelling` builds.
+A tree on the vertex set {1..n} is its parent list: entry v - 1 is vertex
+v's parent, and 0 marks the root.  A tree up to relabelling is named by its
+lex-min member, which `labelling` builds.
 """
 
 from __future__ import annotations
@@ -102,76 +100,59 @@ class Permutation:
         return sum(1 for v in range(1, self.degree + 1) if self(v) == v)
 
 
-def _reaches_root(pmap: dict) -> bool:
-    """True iff every vertex of a parent map walks down to the root, i.e.
-    the map has no cycle; every parent must itself be a key or ROOT.  A walk
-    stops at the first vertex known to reach the root, so each vertex is
-    walked through once."""
+def _reaches_root(parents) -> bool:
+    """True iff every vertex of a parent list walks down to the root, i.e.
+    the list has no cycle; every parent must lie in 0..n.  A walk stops at
+    the first vertex known to reach the root, so each vertex is walked
+    through once."""
     reached = {ROOT}
-    for v in pmap:
+    for v in range(1, len(parents) + 1):
         path = set()
         while v not in reached:
             if v in path:
                 return False
             path.add(v)
-            v = pmap[v]
+            v = parents[v - 1]
         reached |= path
     return True
 
 
 @dataclass(frozen=True)
 class Tree:
-    """Rooted tree as sorted (vertex, parent) pairs; the root's parent is 0."""
+    """Rooted tree on {1..n}: parents[v-1] is vertex v's parent, 0 at the root."""
 
-    entries: tuple[tuple[int, int], ...]
+    parents: tuple[int, ...]
 
     def __post_init__(self):
-        vs = [v for v, _ in self.entries]
-        if not vs:
+        n = len(self.parents)
+        if not n:
             raise PreconditionError("tree needs at least one vertex")
-        if list(self.entries) != sorted(self.entries) or len(set(vs)) != len(vs):
-            raise PreconditionError("entries must be sorted with unique vertices")
-        if vs[0] <= 0:
-            raise PreconditionError("vertex labels must be positive")
-        vset = set(vs)
-        pmap = dict(self.entries)
-        roots = [v for v, p in self.entries if p == ROOT]
-        if len(roots) != 1:
-            raise PreconditionError(f"need exactly one root, got {len(roots)}")
-        for v, p in self.entries:
-            if p != ROOT and p not in vset:
-                raise PreconditionError(f"parent {p} of vertex {v} is not a vertex")
-        if not _reaches_root(pmap):
-            raise PreconditionError("parent map has a cycle")
-
-    @staticmethod
-    def from_parent_map(pmap: dict) -> Tree:
-        return Tree(tuple(sorted(pmap.items())))
+        if min(self.parents) < ROOT or max(self.parents) > n:
+            raise PreconditionError(f"parents must lie in 0..{n}: {self.parents!r}")
+        if self.parents.count(ROOT) != 1:
+            raise PreconditionError(f"need exactly one root, got {self.parents.count(ROOT)}")
+        if not _reaches_root(self.parents):
+            raise PreconditionError("parent list has a cycle")
 
     @staticmethod
     def from_parents(parents) -> Tree:
-        """parents[i] is the parent of vertex i+1; 0 marks the root."""
-        return Tree(tuple((i + 1, p) for i, p in enumerate(parents)))
+        return Tree(tuple(parents))
 
-    @cached_property
-    def parent_map(self) -> dict:
-        return dict(self.entries)
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
+    @property
+    def vertices(self) -> range:
+        return range(1, self.size + 1)
 
     @cached_property
     def root(self) -> int:
-        return next(v for v, p in self.entries if p == ROOT)
+        return self.parents.index(ROOT) + 1
 
     @cached_property
     def children_map(self) -> dict:
         cm = {v: [] for v in self.vertices}
-        for v, p in self.entries:
+        for v, p in enumerate(self.parents, start=1):
             if p != ROOT:
                 cm[p].append(v)
-        return {v: tuple(sorted(ws)) for v, ws in cm.items()}
+        return {v: tuple(ws) for v, ws in cm.items()}
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -186,20 +167,11 @@ class Tree:
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    def is_contiguous(self) -> bool:
-        return self.vertices == tuple(range(1, self.size + 1))
-
-    def parent_list(self) -> list[int]:
-        """[parent of 1, parent of 2, ...]; vertex set must be {1..n}."""
-        if not self.is_contiguous():
-            raise PreconditionError("parent_list needs vertex set {1..n}")
-        return [p for _, p in self.entries]
+        return len(self.parents)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(parent, child) pairs, sorted."""
-        return tuple(sorted((p, v) for v, p in self.entries if p != ROOT))
+        return tuple(sorted((p, v) for v, p in enumerate(self.parents, start=1) if p != ROOT))
 
 
 def parent_lists(n: int, multisets=None):
@@ -214,18 +186,16 @@ def parent_lists(n: int, multisets=None):
     arranged = None if multisets is None else sorted(
         {p for m in multisets for p in itertools.permutations(m)})
     for root in range(1, n + 1):
-        others = [v for v in range(1, n + 1) if v != root]
-        for parents in (itertools.product(range(1, n + 1), repeat=n - 1)
-                        if arranged is None else arranged):
-            pmap = dict(zip(others, parents))
-            pmap[root] = ROOT
-            if _reaches_root(pmap):
-                yield parents[:root - 1] + (ROOT,) + parents[root - 1:]
+        for others in (itertools.product(range(1, n + 1), repeat=n - 1)
+                       if arranged is None else arranged):
+            parents = others[:root - 1] + (ROOT,) + others[root - 1:]
+            if _reaches_root(parents):
+                yield parents
 
 
 def enumerate_trees(n: int) -> list[Tree]:
     """All n^(n-1) rooted trees on {1..n}, roots ascending, then parent lists ascending."""
-    return [Tree.from_parents(p) for p in parent_lists(n)]
+    return [Tree(p) for p in parent_lists(n)]
 
 
 def trees_with_arities(vectors) -> list[Tree]:
@@ -241,16 +211,17 @@ def trees_with_arities(vectors) -> list[Tree]:
         raise PreconditionError(f"arity vectors must be n={n} counts summing to n-1")
     multisets = [tuple(v for v, a_v in enumerate(a, start=1) for _ in range(a_v))
                  for a in set(vectors)]
-    return [Tree.from_parents(p) for p in parent_lists(n, multisets)]
+    return [Tree(p) for p in parent_lists(n, multisets)]
 
 
 def relabel(tree: Tree, sigma: Permutation) -> Tree:
     """Rename every vertex v to sigma(v), parents and root included."""
-    if any(v > sigma.degree for v in tree.vertices):
-        raise MismatchError("permutation degree below a vertex label")
-    return Tree(tuple(sorted(
-        (sigma(v), ROOT if p == ROOT else sigma(p)) for v, p in tree.entries
-    )))
+    if sigma.degree != tree.size:
+        raise MismatchError("relabel needs a permutation of the tree's degree")
+    parents = [ROOT] * tree.size
+    for v, p in enumerate(tree.parents, start=1):
+        parents[sigma(v) - 1] = ROOT if p == ROOT else sigma(p)
+    return Tree(tuple(parents))
 
 
 def retarget_edges(edges, sigma: Permutation) -> tuple[tuple[int, int], ...]:
@@ -265,11 +236,14 @@ def retarget(tree: Tree, sigma: Permutation) -> Tree | None:
     edge, so the only possible failure is a cycle, and then the result is
     None; `retarget_edges(tree.edges(), sigma)` gives the raw graph either way.
     """
-    if not tree.is_contiguous() or sigma.degree != tree.size:
-        raise MismatchError("retarget needs vertex set {1..n} and a matching permutation")
-    pmap = {sigma(v): p for v, p in tree.entries if p != ROOT}
-    pmap[sigma(tree.root)] = ROOT
-    return Tree.from_parent_map(pmap) if _reaches_root(pmap) else None
+    if sigma.degree != tree.size:
+        raise MismatchError("retarget needs a permutation of the tree's degree")
+    parents = [ROOT] * tree.size    # sigma(root) keeps no parent
+    for v, p in enumerate(tree.parents, start=1):
+        if p != ROOT:
+            parents[sigma(v) - 1] = p
+    parents = tuple(parents)
+    return Tree(parents) if _reaches_root(parents) else None
 
 
 def find_sigma(src: Tree, dst: Tree) -> Permutation:
@@ -278,7 +252,7 @@ def find_sigma(src: Tree, dst: Tree) -> Permutation:
     Requires the two trees to have the same arity at every vertex (same
     multi-index); anything else cannot be connected by retargeting.
     """
-    if not src.is_contiguous() or not dst.is_contiguous() or src.size != dst.size:
+    if src.size != dst.size:
         raise MismatchError("find_sigma needs two trees on the same vertex set {1..n}")
     images = {}
     for v in src.vertices:
@@ -294,9 +268,9 @@ def find_sigma(src: Tree, dst: Tree) -> Permutation:
 def chain_tree(order) -> Tree:
     """Single descending path: order[0] is the root, each entry parents the next."""
     order = list(order)
-    if not order or len(set(order)) != len(order):
-        raise PreconditionError("order must be nonempty distinct labels")
-    entries = [(order[0], ROOT)]
+    if not order or sorted(order) != list(range(1, len(order) + 1)):
+        raise PreconditionError("order must list each of 1..n once")
+    parents = [ROOT] * len(order)
     for a, b in zip(order, order[1:]):
-        entries.append((b, a))
-    return Tree(tuple(sorted(entries)))
+        parents[b - 1] = a
+    return Tree(tuple(parents))

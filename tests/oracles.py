@@ -32,8 +32,7 @@ from typing import Mapping
 from elemdiff import (LabelledObject, MismatchError, MultiIndex, Permutation,
                       PreconditionError, Tree, canonicalize_labelled,
                       enumerate_labelled, subgroup_classes)
-from elemdiff.differentials import (_check_vector_jets, _jets_by_vertex,
-                                    eval_tree, standard_identity_terms)
+from elemdiff.differentials import _check_vector_jets, eval_tree, standard_identity_terms
 from elemdiff.jets import Jet, _compositions, add, assemble, component, mul_scalar, partial
 from elemdiff.trees import ROOT
 
@@ -46,16 +45,11 @@ def all_permutations(n: int) -> list[Permutation]:
 
 
 def graft_sum(scion: Tree, stock: Tree) -> list[Tree]:
-    """All single-edge attachments of scion's root below a vertex of stock."""
-    if set(scion.vertices) & set(stock.vertices):
-        raise MismatchError("vertex labels shared between the two trees")
-    out = []
-    for v in stock.vertices:
-        entries = list(stock.entries)
-        for w, p in scion.entries:
-            entries.append((w, v if p == ROOT else p))
-        out.append(Tree(tuple(sorted(entries))))
-    return out
+    """All single-edge attachments of scion's root below a vertex of stock.
+    The stock keeps its vertices 1..k, and scion vertex w becomes k + w."""
+    k = stock.size
+    return [Tree(stock.parents + tuple(v if p == ROOT else k + p for p in scion.parents))
+            for v in stock.vertices]
 
 
 def is_linear(tree: Tree) -> bool:
@@ -84,9 +78,9 @@ def multiplicities(obj: LabelledObject, ell: int | None = None) -> tuple:
 def all_colourings(n: int, ell: int) -> list[LabelledObject]:
     """Every orbit of (tree on n vertices, labels in [ell]^n): the union of
     the profiles' orbits over the weak compositions of n into ell parts,
-    ascending in (entries, labels)."""
+    ascending in (parent list, labels)."""
     objs = [o for profile in _compositions(n, ell) for o in enumerate_labelled(profile)]
-    return sorted(objs, key=lambda o: (o.tree.entries, o.labels))
+    return sorted(objs, key=lambda o: (o.tree.parents, o.labels))
 
 
 def identify(phi, obj: LabelledObject) -> LabelledObject:
@@ -192,12 +186,12 @@ def standard_identity(inputs) -> Jet:
 def eval_tree_labelled(tree: Tree, labels, inputs, degree: int | None = None) -> Jet:
     """Evaluate with vertex v receiving input number labels[v-1]."""
     labels = list(labels)
-    if not tree.is_contiguous() or len(labels) != tree.size:
+    if len(labels) != tree.size:
         raise MismatchError("labels must cover the vertex set {1..n}")
     inputs = list(inputs)
     if any(not 1 <= x <= len(inputs) for x in labels):
         raise PreconditionError("label out of range")
-    return eval_tree(tree, {v: inputs[labels[v - 1] - 1] for v in tree.vertices}, degree)
+    return eval_tree(tree, [inputs[x - 1] for x in labels], degree)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +212,7 @@ def monomial_term(tree: Tree, slots: Mapping) -> MonomialValue:
     first_alpha, _ = slots[tree.root]
     d = len(first_alpha)
     mu = {v: [0] * d for v in tree.vertices}
-    for w, p in tree.entries:
+    for w, p in enumerate(tree.parents, start=1):
         if p != ROOT:
             mu[p][slots[w][1] - 1] += 1
     coeff = 1
@@ -235,10 +229,23 @@ def monomial_term(tree: Tree, slots: Mapping) -> MonomialValue:
         alpha = slots[v][0]
         for j in range(d):
             exponent[j] += alpha[j]
-    for w, p in tree.entries:
+    for w, p in enumerate(tree.parents, start=1):
         if p != ROOT:
             exponent[slots[w][1] - 1] -= 1
     return MonomialValue(coeff, tuple(exponent), slots[tree.root][1])
+
+
+def _by_vertex(tree: Tree, inputs) -> dict:
+    """Vertex -> input, from a mapping on the vertices or a sequence in vertex order."""
+    if not isinstance(inputs, Mapping):
+        inputs = list(inputs)
+        if len(inputs) != tree.size:
+            raise MismatchError(f"{tree.size} vertices but {len(inputs)} inputs")
+        inputs = dict(zip(tree.vertices, inputs))
+    missing = [v for v in tree.vertices if v not in inputs]
+    if missing:
+        raise MismatchError(f"no input for vertices {missing}")
+    return {v: inputs[v] for v in tree.vertices}
 
 
 def tree_value_at_zero(tree: Tree, inputs) -> tuple[Fraction, ...]:
@@ -248,7 +255,7 @@ def tree_value_at_zero(tree: Tree, inputs) -> tuple[Fraction, ...]:
     read off its children's assigned components, and a jet answers a demanded
     derivative at zero with factorial-weighted coefficients.
     """
-    jbv = _jets_by_vertex(tree, inputs)
+    jbv = _by_vertex(tree, inputs)
     d = _check_vector_jets(jbv.values())
     verts = list(tree.vertices)
     pos = {v: i for i, v in enumerate(verts)}
@@ -298,12 +305,9 @@ def tree_polynomial(tree: Tree, term_inputs: Mapping) -> dict:
     return {k: q for k, q in out.items() if q}
 
 
-def monomial_inputs_as_jets(tree: Tree, slots: Mapping, d: int, degree: int) -> dict:
-    """Jet view of monomial slots, for cross-checking the closed form."""
-    return {
-        v: monomial_jet(d, degree, slots[v][0], slots[v][1])
-        for v in tree.vertices
-    }
+def monomial_inputs_as_jets(tree: Tree, slots: Mapping, d: int, degree: int) -> list:
+    """Jet view of monomial slots, in vertex order, for cross-checking the closed form."""
+    return [monomial_jet(d, degree, slots[v][0], slots[v][1]) for v in tree.vertices]
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,14 @@ def test_hooks_bind_parameters_the_package_still_has():
 
 
 def test_hooks_read_attributes_the_results_still_have():
-    from elemdiff import RunConfig, chain_tree, span_rows
+    from elemdiff import RunConfig, chain_tree, enumerate_trees
     from elemdiff.relations import PRIME, JetStream
 
     text = TRACING.read_text()
     read = set(re.findall(r"result\.(\w+)", text))
     assert read == {name for names in READ.values() for name in names}
     assert set(READ) <= set(runpy.run_path(str(TRACING))["TRACED"])
-    rows = span_rows(3)  # at d = 1, 9 trees span 6: the certificate has relations
+    rows = enumerate_trees(3)  # at d = 1, 9 trees span 6: the certificate has relations
     chain = chain_tree([1, 2, 3])
     results = {
         "relations.eliminate_mod": _resolve("relations.eliminate_mod")([[1, 2], [2, 4]], PRIME),

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,23 @@ def test_eval_roundtrip(capsys, tmp_path):
                            "--inputs", str(path), "--degree", "1")
     assert code == 0
     assert json.loads(out)["D"] == 0
+
+
+def test_eval_refuses_a_vertex_past_the_product_bound(capsys, tmp_path):
+    # a star's root with 14 children forms 2 ** 14 > 4,096 products; unguarded,
+    # that evaluation takes seconds, and each further child doubles it
+    from elemdiff import random_jet
+    import random
+    rng = random.Random(5)
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps([random_jet(rng, 2, 3, 2).to_json_dict() for _ in range(15)]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "f", "--tree", str([0] + [1] * 14),
+                             "--inputs", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "SizeLimitError"
 
 
 def test_eval_g_scalar_only(capsys, tmp_path):
@@ -570,7 +588,7 @@ _json = st.recursive(
                    | st.dictionaries(st.text(max_size=6), inner, max_size=6)),
     max_leaves=12)
 _small_ints = st.lists(st.integers(-1, 6), max_size=6)
-_trees = {n: [t.parent_list() for t in enumerate_trees(n)] for n in range(1, 5)}
+_trees = {n: [list(t.parents) for t in enumerate_trees(n)] for n in range(1, 5)}
 
 
 def _terms(n, labelled):

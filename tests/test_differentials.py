@@ -112,7 +112,7 @@ def test_value_at_zero_matches_eval():
     rng = random.Random(5)
     for d in (1, 2, 3):
         for t in enumerate_trees(3):
-            jets = {v: random_jet(rng, d, 3, 3) for v in t.vertices}
+            jets = [random_jet(rng, d, 3, 3) for _ in t.vertices]
             assert tree_value_at_zero(t, jets) == eval_at_zero(eval_tree(t, jets))
 
 
@@ -126,13 +126,13 @@ def test_tree_polynomial_matches_eval():
         for v in t.vertices
     }
     poly = tree_polynomial(t, fam)
-    jets = {}
+    jets = []
     for v in t.vertices:
         acc = None
         for c, al, k in fam[v]:
             m = monomial_jet(d, D, al, k, coeff=c)
             acc = m if acc is None else add(acc, m)
-        jets[v] = acc
+        jets.append(acc)
     out = eval_tree(t, jets)
     for (exponent, comp), q in poly.items():
         if sum(exponent) <= out.degree:
@@ -206,7 +206,7 @@ def test_relabel_equivariance():
             s = rng.choice(perms)
             jets = [random_jet(rng, 2, n + 1, 3) for _ in range(n)]
             left = eval_tree(relabel(t, s), jets)
-            right = eval_tree(t, {v: jets[s(v) - 1] for v in t.vertices})
+            right = eval_tree(t, [jets[s(v) - 1] for v in t.vertices])
             assert left == right
 
 
@@ -257,12 +257,11 @@ def sum_to_common_degree(values):
 def test_grafting_turns_into_pre_lie():
     rng = random.Random(13)
     stock = Tree.from_parents([0, 1])
-    scion = Tree.from_parent_map({3: 0, 4: 3})
+    scion = Tree.from_parents([0, 1])  # vertices 3 and 4 of each graft
     for d in (1, 2):
-        jets = {v: random_jet(rng, d, 5, 2) for v in (1, 2, 3, 4)}
+        jets = [random_jet(rng, d, 5, 2) for _ in range(4)]
         vals = [eval_tree(g, jets) for g in graft_sum(scion, stock)]
-        rhs = pre_lie(eval_tree(stock, {1: jets[1], 2: jets[2]}),
-                      eval_tree(scion, {3: jets[3], 4: jets[4]}))
+        rhs = pre_lie(eval_tree(stock, jets[:2]), eval_tree(scion, jets[2:]))
         dd = min(min(v.degree for v in vals), rhs.degree)
         lhs = sum_to_common_degree([truncate(v, dd) for v in vals])
         assert lhs == truncate(rhs, dd)
@@ -300,7 +299,7 @@ def test_left_chain_is_a_chain_tree():
         order = [2, 3, 1]
         via_chain = left_chain(order, jets)
         t = chain_tree(order + [4])
-        via_tree = eval_tree(t, {v: jets[v - 1] for v in t.vertices})
+        via_tree = eval_tree(t, jets)
         assert via_chain == via_tree
 
 
@@ -328,7 +327,7 @@ def test_standard_identity_tree_route_agrees():
         direct = standard_identity(jets)
         via_trees = None
         for q, t in standard_identity_tree_terms(1):
-            v = scale(q, eval_tree(t, {w: jets[w - 1] for w in t.vertices}))
+            v = scale(q, eval_tree(t, jets))
             via_trees = v if via_trees is None else add(via_trees, v)
         assert direct == via_trees
 
@@ -366,7 +365,7 @@ def test_labelled_eval_routes_inputs():
     t = Tree.from_parents([0, 1, 1])
     jets = [random_jet(rng, 2, 4, 3) for _ in range(2)]
     lab = eval_tree_labelled(t, [2, 1, 1], jets)
-    plain = eval_tree(t, {1: jets[1], 2: jets[0], 3: jets[0]})
+    plain = eval_tree(t, [jets[1], jets[0], jets[0]])
     assert lab == plain
     with pytest.raises(PreconditionError):
         eval_tree_labelled(t, [1, 3, 1], jets)

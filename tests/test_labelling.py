@@ -27,16 +27,15 @@ CFG = RunConfig()
 
 
 def sn_lex_min(base, labels):
-    # oracle: the least (entries, colours) over all n! relabellings
+    # oracle: the least (parent list, colours) over all n! relabellings
     n = base.size
 
     def moved(sigma):  # vertex v renamed sigma[v-1], colours carried along
-        entries = tuple(sorted((sigma[v - 1], ROOT if p == ROOT else sigma[p - 1])
-                               for v, p in base.entries))
-        colours = [0] * n
-        for v, colour in enumerate(labels):
+        parents, colours = [ROOT] * n, [0] * n
+        for v, (p, colour) in enumerate(zip(base.parents, labels)):
+            parents[sigma[v] - 1] = ROOT if p == ROOT else sigma[p - 1]
             colours[sigma[v] - 1] = colour
-        return entries, tuple(colours)
+        return tuple(parents), tuple(colours)
 
     return min(map(moved, itertools.permutations(range(1, n + 1))))
 
@@ -75,7 +74,7 @@ def test_canonicalize_matches_the_sn_search():
         for t in enumerate_trees(n):
             for labels in itertools.product((1, 2, 3), repeat=n):
                 obj = canonicalize_labelled(t, labels)
-                assert (obj.tree.entries, obj.labels) == sn_lex_min(t, labels)
+                assert (obj.tree.parents, obj.labels) == sn_lex_min(t, labels)
     rng = random.Random(5)
     for n, samples in ((5, 150), (6, 60)):
         trees = enumerate_trees(n)
@@ -83,13 +82,13 @@ def test_canonicalize_matches_the_sn_search():
             t = rng.choice(trees)
             labels = tuple(rng.randint(1, 3) for _ in range(n))
             obj = canonicalize_labelled(t, labels)
-            assert (obj.tree.entries, obj.labels) == sn_lex_min(t, labels)
+            assert (obj.tree.parents, obj.labels) == sn_lex_min(t, labels)
 
 
 def test_canonicalize_walks_a_chain_past_the_recursion_limit():
     n = sys.getrecursionlimit() + 1
     obj = canonicalize_labelled(chain_tree(range(n, 0, -1)), range(1, n + 1))
-    assert obj.tree.parent_list() == list(range(n))
+    assert obj.tree.parents == tuple(range(n))
     assert obj.labels == tuple(range(n, 0, -1))
 
 
@@ -147,8 +146,8 @@ def test_enumeration_matches_brute_force_lex_min():
                     brute.add(sn_lex_min(tree, labels))
             got = enumerate_labelled(profile)
             assert len(set(got)) == len(got)
-            assert {(o.tree.entries, o.labels) for o in got} == brute
-            assert got == sorted(got, key=lambda o: (o.tree.entries, o.labels))
+            assert {(o.tree.parents, o.labels) for o in got} == brute
+            assert got == sorted(got, key=lambda o: (o.tree.parents, o.labels))
     assert len(enumerate_labelled((3, 2))) == 63
     assert len(enumerate_labelled((4, 1))) == 35
     with pytest.raises(SizeLimitError):
@@ -161,9 +160,9 @@ def test_enumeration_past_n4_is_canonical_distinct_and_sorted(profile):
     # the S_n search fixes every representative, so no two share an orbit
     got = enumerate_labelled(profile)
     for o in got:
-        assert sn_lex_min(o.tree, o.labels) == (o.tree.entries, o.labels)
+        assert sn_lex_min(o.tree, o.labels) == (o.tree.parents, o.labels)
     assert len(set(got)) == len(got)
-    assert got == sorted(got, key=lambda o: (o.tree.entries, o.labels))
+    assert got == sorted(got, key=lambda o: (o.tree.parents, o.labels))
     if sum(profile) == 6:
         assert len(got) == {(6,): 20, (3, 3): 268}[profile]
 
@@ -172,7 +171,7 @@ def test_trees_come_root_first_then_by_parent_list():
     # enumerate_trees' order: one block per root, parent lists ascending
     for n in range(1, 7):
         trees = enumerate_trees(n)
-        assert trees == sorted(trees, key=lambda t: (t.root, t.parent_list()))
+        assert trees == sorted(trees, key=lambda t: (t.root, t.parents))
         lead = n ** (n - 1) // n
         assert all(t.root == 1 for t in trees[:lead])
         assert all(t.root != 1 for t in trees[lead:])

@@ -33,7 +33,6 @@ from elemdiff import (
     project_arities,
     random_jet_tuple,
     rational_reconstruct,
-    span_rows,
     trace_on_span,
 )
 from elemdiff.relations import (
@@ -64,7 +63,7 @@ CFG = RunConfig()
 
 
 def test_build_matrix_shape_and_entries():
-    rows = span_rows(3)
+    rows = enumerate_trees(3)
     m = build_matrix(rows, 2, JetStream(99), 6)
     assert all(jet.degree == 2 for tup in m.tuples for jet in tup)
     assert m.ncols == 12
@@ -77,7 +76,7 @@ def test_build_matrix_shape_and_entries():
 
 
 def test_build_matrix_reproducible():
-    rows = span_rows(3)
+    rows = enumerate_trees(3)
     a = build_matrix(rows, 2, JetStream(7), 4)
     b = build_matrix(rows, 2, JetStream(7), 4)
     assert a.data == b.data
@@ -90,15 +89,15 @@ def test_batched_and_exact_entry_paths_agree():
     # small jets give small entries, bound 10**6 entries beyond 2^63; rows
     # with repeated colours, the n = 5 corolla (one vertex with four
     # children, the recursion's widest step) and d = 3
-    small = build_matrix(span_rows(3), 2, JetStream(31), 5)
-    large = build_matrix(span_rows(4), 2, JetStream(31, bound=10**6), 3)
+    small = build_matrix(enumerate_trees(3), 2, JetStream(31), 5)
+    large = build_matrix(enumerate_trees(4), 2, JetStream(31, bound=10**6), 3)
     assert max(abs(x) for row in large.data for x in row) >= 2**63
     coloured = [(o.tree, o.labels) for o in enumerate_labelled((2, 2))]
     assert any(len(set(labels)) < len(labels) for _, labels in coloured)
     corolla = Tree.from_parents([0, 1, 1, 1, 1])
     for m in (small, large, build_matrix(coloured, 2, JetStream(32), 3),
               build_matrix([corolla, chain_tree(range(1, 6))], 3, JetStream(33), 2),
-              build_matrix(span_rows(3), 3, JetStream(34), 3)):
+              build_matrix(enumerate_trees(3), 3, JetStream(34), 3)):
         for r in range(len(m.rows)):
             for c in range(m.ncols):
                 assert check_entry(m, r, c)
@@ -117,14 +116,14 @@ def test_build_matrix_walks_a_chain_past_the_recursion_limit():
 def test_build_matrix_reads_a_shared_stream():
     # matrices on one stream share their first columns; a stream drawn for
     # another row shape is refused
-    rows = span_rows(3)
+    rows = enumerate_trees(3)
     stream = JetStream(5)
     long = build_matrix(rows, 2, stream, 7)
     short = build_matrix(rows, 2, stream, 3)
     assert [row[:6] for row in long.data] == short.data
     assert long.data == build_matrix(rows, 2, JetStream(5), 7).data
     with pytest.raises(MismatchError):
-        build_matrix(span_rows(4), 2, stream, 3)
+        build_matrix(enumerate_trees(4), 2, stream, 3)
     with pytest.raises(MismatchError):
         build_matrix(rows, 3, stream, 3)
     assert stream.describe() == {"scheme": "randomColumns", "tuples": 7,
@@ -134,7 +133,7 @@ def test_build_matrix_reads_a_shared_stream():
 @pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (2, 4)])
 def test_plain_row_is_the_row_labelled_one_to_n(d, n):
     # a plain tree is the (tree, labels) row whose vertex v reads input v
-    plain = span_rows(n)
+    plain = enumerate_trees(n)
     pairs = [(t, tuple(range(1, n + 1))) for t in plain]
     assert (dimension_certificate(plain, d, CFG).to_json_dict()
             == dimension_certificate(pairs, d, CFG).to_json_dict())
@@ -147,7 +146,7 @@ def test_plain_row_is_the_row_labelled_one_to_n(d, n):
 
 def test_build_matrix_respects_budget():
     with pytest.raises(SizeLimitError):
-        build_matrix(span_rows(3), 2, JetStream(1), 10**6)
+        build_matrix(enumerate_trees(3), 2, JetStream(1), 10**6)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_certify_true_relation_d1():
 def _rows_of(d, n, profile):
     """(rows, input count, weights) of a plain span or of one colour profile."""
     if profile is None:
-        return span_rows(n), n, (1,) * n
+        return enumerate_trees(n), n, (1,) * n
     rows = [(o.tree, o.labels) for o in enumerate_labelled(profile)]
     return rows, len(profile), profile
 
@@ -327,7 +326,7 @@ def _brute_force_holds(terms, d, n):
 
 @pytest.mark.parametrize("d,n,pairs", [(1, 3, None), (1, 4, 40), (2, 2, None), (2, 3, 12)])
 def test_certify_matches_brute_force_sweep(d, n, pairs):
-    trees = span_rows(n)
+    trees = enumerate_trees(n)
     combos = list(itertools.combinations(trees, 2))
     if pairs is not None:
         combos = random.Random(43).sample(combos, pairs)
@@ -391,11 +390,11 @@ def test_certify_repeated_colour_is_exact():
 
 def test_component_assignment_guard():
     # 17 ** 3 > 8 ** 4 component assignments per row, for both callers
-    t1, t2 = span_rows(3)[:2]
+    t1, t2 = enumerate_trees(3)[:2]
     with pytest.raises(SizeLimitError):
         certify_relation([(1, t1), (-1, t2)], 17)
     with pytest.raises(SizeLimitError):
-        dimension_certificate(span_rows(3), 17, CFG)
+        dimension_certificate(enumerate_trees(3), 17, CFG)
     assert certify_relation([(1, t1), (-1, t2)], 16).witness is not None
     # at d = 1 the vertex count is the bound
     chain = chain_tree(range(1, MAX_ROW_VERTICES + 1))
@@ -454,7 +453,7 @@ def test_dimension_below_one_is_refused():
     with pytest.raises(PreconditionError):
         certify_relation([(1, t1), (-1, t2)], 0)
     with pytest.raises(PreconditionError):
-        dimension_certificate(span_rows(3), 0, CFG)
+        dimension_certificate(enumerate_trees(3), 0, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def test_dimension_below_one_is_refused():
 
 
 def test_dimension_n3_full():
-    cert = dimension_certificate(span_rows(3), 2, CFG)
+    cert = dimension_certificate(enumerate_trees(3), 2, CFG)
     assert cert.certified
     assert cert.dimension == 9
     assert cert.lower == cert.upper == 9
@@ -471,7 +470,7 @@ def test_dimension_n3_full():
 
 
 def test_dimension_certificate_json_shape():
-    cert = dimension_certificate(span_rows(3), 2, CFG)
+    cert = dimension_certificate(enumerate_trees(3), 2, CFG)
     obj = cert.to_json_dict()
     for key in ("status", "dimension", "certified", "lower", "upper", "rank",
                 "minorRows", "minorCols", "relations", "prime", "seed",
@@ -484,7 +483,7 @@ def test_dimension_certificate_json_shape():
 
 def test_certificate_records_its_rows_and_d():
     # plain trees and labelled pairs, in input order, normalised to pairs
-    plain = span_rows(3)[::-1]
+    plain = enumerate_trees(3)[::-1]
     pairs = [(t, (1, 1, 2)) for t in plain[:2]]
     for rows, d in ((plain, 2), (pairs, 1)):
         cert = dimension_certificate(rows, d, RunConfig(seed=5))
@@ -594,7 +593,7 @@ def test_block_ranks_add_to_the_stacked_rank(d, n):
     # blocks by arity vector, grouped here without the package's helper; the
     # stacked matrix holds every row on as many tuples as the single-matrix
     # route reads, and its rank over Q is the span's dimension
-    rows = span_rows(n)
+    rows = enumerate_trees(n)
     by_arity = {}
     for row in rows:
         by_arity.setdefault(project_arities(row), []).append(row)
@@ -639,11 +638,12 @@ def test_dimension_guard():
 
 
 def test_span_rows_counts():
-    assert len(span_rows(3)) == 9
-    assert len(span_rows(4)) == 64
-    assert len(span_rows(3, linear_only=True)) == 6
-    assert len(span_rows(4, linear_only=True)) == 24
-    assert len(span_rows(5, linear_only=True)) == 120
+    # dimension_w's rows: all n^(n-1) trees, or the n! chains of the orbit 1,...,1,0
+    assert len(dimension_w(1, 3, config=CFG).rows) == 9
+    assert len(dimension_w(1, 4, config=CFG).rows) == 64
+    assert len(dimension_w(1, 3, linear=True, config=CFG).rows) == 6
+    assert len(dimension_w(1, 4, linear=True, config=CFG).rows) == 24
+    assert len(dimension_w(1, 5, linear=True, config=CFG).rows) == 120
 
 
 def test_linear_span_n3_has_no_relations_in_two_variables():
@@ -657,7 +657,7 @@ def test_linear_span_n3_has_no_relations_in_two_variables():
 
 
 def test_nullspace_relations_reduce_to_zero():
-    rows = span_rows(4)
+    rows = enumerate_trees(4)
     cert = dimension_certificate(rows, 1, CFG)
     rels = cert.relations
     assert cert.certified
@@ -674,7 +674,7 @@ def test_nullspace_relations_reduce_to_zero():
 
 
 def test_relation_leading_structure():
-    rows = span_rows(4)
+    rows = enumerate_trees(4)
     cert = dimension_certificate(rows, 1, CFG)
     assert cert.certified
     rels = cert.relations
@@ -704,13 +704,13 @@ def test_failed_lift_leaves_the_certificate_inconclusive(monkeypatch):
 
 
 def test_trace_identity_is_dimension():
-    rows = span_rows(3)
+    rows = enumerate_trees(3)
     assert trace_on_span(dimension_certificate(rows, 2, CFG), Permutation.identity(3)) == 9
 
 
 def test_trace_transposition_counts_fixed_trees():
     # no relations at n=3, d=2, so the trace counts relabel-fixed basis rows
-    rows = span_rows(3)
+    rows = enumerate_trees(3)
     s = Permutation.from_cycles(3, (1, 2))
     assert trace_on_span(dimension_certificate(rows, 2, CFG), s) == 1
 
@@ -719,6 +719,14 @@ def test_trace_rejects_unstable_span():
     rows = [chain_tree([1, 2, 3])]
     with pytest.raises(SpanInstabilityError):
         trace_on_span(dimension_certificate(rows, 2, CFG), Permutation.from_cycles(3, (1, 2)))
+
+
+def test_trace_needs_a_permutation_of_the_row_degree():
+    # a permutation of S_4 would move 3-vertex rows off {1..3}
+    cert = dimension_w(1, 3, config=CFG)
+    for images in ((1, 2, 3, 4), (1, 2, 4, 3)):
+        with pytest.raises(MismatchError):
+            trace_on_span(cert, Permutation(images))
 
 
 def test_trace_is_read_off_its_own_certificate():
@@ -856,7 +864,7 @@ def test_star_blocks_certify_with_the_batch_floor(seed):
 def test_seed_sweep_has_no_inconclusive_certificate():
     # seeds 0..29, and the seeds where a floor of 1 column a batch leaves one
     # of these spans inconclusive (10, 31, 55, 61, 74, 75, 85, 88; 31 at 4)
-    spans = [(span_rows(5), 1, 70)]
+    spans = [(enumerate_trees(5), 1, 70)]
     labelled = [(o.tree, o.labels) for o in enumerate_labelled((2, 1, 1))]
     spans += [(labelled, 1, 13), (labelled, 2, 34)]
     for seed in [*range(30), 31, 55, 61, 74, 75, 85, 88]:

@@ -16,11 +16,11 @@ from elemdiff import (
     relabel,
     retarget,
     retarget_edges,
-    span_rows,
     trees_with_arities,
 )
 from elemdiff.multiindex import enumerate_multi_indices, project_arities
-from elemdiff.trees import _reaches_root
+from elemdiff.relations import _orbit_rows
+from elemdiff.trees import _reaches_root, parent_lists
 from oracles import all_permutations, graft_sum, is_linear
 
 # Cayley: n^(n-1) labelled rooted trees on n vertices.
@@ -47,8 +47,8 @@ def test_enumerated_trees_are_valid_and_deterministic():
     assert trees == enumerate_trees(4)  # stable order, callers may index into it
     for t in trees:
         assert t.size == 4
-        assert t.is_contiguous()
-        assert t.parent_map[t.root] == 0
+        assert tuple(t.vertices) == (1, 2, 3, 4)
+        assert t.parents[t.root - 1] == 0
 
 
 def test_orbit_rows_are_the_enumeration_filtered_by_orbit():
@@ -65,7 +65,7 @@ def test_orbit_rows_are_the_enumeration_filtered_by_orbit():
 def test_chain_orbit_rows_are_the_linear_trees():
     for n in range(1, 7):
         linear = [t for t in enumerate_trees(n) if is_linear(t)]
-        assert span_rows(n, linear_only=True) == linear
+        assert _orbit_rows(n, ",".join(["1"] * (n - 1) + ["0"])) == linear
         assert len(linear) == math.factorial(n)
         # one arity vector per choice of the leaf: n of them
         assert len({project_arities(t) for t in linear}) == n
@@ -87,7 +87,7 @@ def test_trees_with_arities_validation():
 
 def test_parent_list_round_trip():
     for t in enumerate_trees(4):
-        assert Tree.from_parents(t.parent_list()) == t
+        assert Tree.from_parents(list(t.parents)) == t
 
 
 def test_tree_validation():
@@ -99,31 +99,50 @@ def test_tree_validation():
         Tree.from_parents([2, 1])  # no root, 1 <-> 2 cycle
     with pytest.raises(PreconditionError):
         Tree.from_parents([0, 5])  # parent not a vertex
-    with pytest.raises(PreconditionError):
-        Tree(((2, 0), (1, 2)))  # unsorted entries
+    for parents in ((), (0, -1), (2, 1)):  # empty; parent below 0; no root
+        with pytest.raises(PreconditionError):
+            Tree(parents)
+    for order in ([], [2, 3], [1, 1]):  # a chain lists each of 1..n once
+        with pytest.raises(PreconditionError):
+            chain_tree(order)
 
 
-class _CountingMap(dict):
-    """A parent map that counts its lookups."""
+def test_validator_accepts_exactly_the_cayley_trees():
+    # of the (n+1)^n tuples over 0..n, exactly the n^(n-1) parent lists are trees
+    for n in range(1, 6):
+        trees = set(parent_lists(n))
+        assert len(trees) == n ** (n - 1)
+        accepted = set()
+        for parents in itertools.product(range(n + 1), repeat=n):
+            try:
+                Tree(parents)
+            except PreconditionError:
+                continue
+            accepted.add(parents)
+        assert accepted == trees
+
+
+class _CountingParents(tuple):
+    """A parent list that counts its lookups."""
 
     lookups = 0
 
-    def __getitem__(self, v):
+    def __getitem__(self, i):
         self.lookups += 1
-        return super().__getitem__(v)
+        return super().__getitem__(i)
 
 
 def test_reaches_root_walks_each_vertex_once():
-    # a chain listed leaf first: a walk from each vertex down to the root
-    # takes quadratically many lookups in all; stopping where an earlier
-    # walk reached the root takes one per vertex
+    # a chain with its leaf at vertex 1: a walk from each vertex down to the
+    # root takes quadratically many lookups in all; stopping where an
+    # earlier walk reached the root takes one per vertex
     n = 2000
-    chain = _CountingMap({v: v - 1 for v in range(n, 0, -1)})
+    chain = _CountingParents((*range(2, n + 1), 0))
     assert _reaches_root(chain)
     assert chain.lookups == n
-    assert not _reaches_root({1: 0, 2: 3, 3: 4, 4: 2})  # a cycle off the root
-    assert not _reaches_root({1: 0, 2: 1, 3: 3})        # a self-loop
-    assert _reaches_root({3: 1, 2: 1, 1: 0, 4: 3})
+    assert not _reaches_root((0, 3, 4, 2))  # a cycle off the root
+    assert not _reaches_root((0, 1, 3))     # a self-loop
+    assert _reaches_root((0, 1, 1, 3))
 
 
 def test_order_is_breadth_first_with_children_ascending():
@@ -133,7 +152,8 @@ def test_order_is_breadth_first_with_children_ascending():
         level, want = [t.root], []
         while level:  # level by level, each vertex's children ascending
             want += level
-            level = [c for v in level for c in sorted(c for c, p in t.entries if p == v)]
+            level = [c for v in level
+                     for c in sorted(c for c, p in enumerate(t.parents, start=1) if p == v)]
         assert t.order == tuple(want)
 
 
@@ -200,6 +220,16 @@ def test_relabel_action_sampled_n4():
         t = rng.choice(trees)
         s1, s2 = rng.choice(perms), rng.choice(perms)
         assert relabel(relabel(t, s1), s2) == relabel(t, s2.compose(s1))
+
+
+def test_relabel_and_retarget_need_the_tree_degree():
+    # a permutation of another degree would move the tree off {1..n}
+    t = Tree.from_parents([0, 1])
+    for sigma in (Permutation((1, 3, 2)), Permutation((1,))):
+        with pytest.raises(MismatchError):
+            relabel(t, sigma)
+        with pytest.raises(MismatchError):
+            retarget(t, sigma)
 
 
 def test_relabel_preserves_shape():
@@ -305,7 +335,7 @@ def test_find_sigma_rejects_arity_mismatch():
 
 def test_graft_sum_structure():
     stock = Tree.from_parents([0, 1])
-    scion = Tree.from_parent_map({3: 0, 4: 3})
+    scion = Tree.from_parents([0, 1])  # its vertex w is vertex 2 + w of a graft
     grafts = graft_sum(scion, stock)
     assert len(grafts) == stock.size
     roots = set()
@@ -314,20 +344,15 @@ def test_graft_sum_structure():
         assert g.root == stock.root
         # stock and scion edges survive; one new edge lands on scion's root
         assert set(stock.edges()) <= set(g.edges())
-        assert set(scion.edges()) <= set(g.edges())
-        roots.add(g.parent_map[scion.root])
+        assert {(2 + p, 2 + w) for p, w in scion.edges()} <= set(g.edges())
+        roots.add(g.parents[2 + scion.root - 1])
     assert roots == set(stock.vertices)
-
-
-def test_graft_sum_rejects_overlap():
-    with pytest.raises(MismatchError):
-        graft_sum(chain_tree([2, 3]), chain_tree([1, 2]))
 
 
 def test_chain_tree_and_linearity():
     c = chain_tree([3, 1, 2])
     assert c.root == 3
-    assert c.parent_map == {3: 0, 1: 3, 2: 1}
+    assert c.parents == (3, 1, 0)
     assert is_linear(c)
     assert not is_linear(Tree.from_parents([0, 1, 1]))
     # a linear tree is an ordering of its labels root-down, so n! of them
