@@ -10,7 +10,7 @@ from .trees import (Permutation, Tree, chain_tree, enumerate_trees, find_sigma,
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
 from .jets import (Jet, add, assemble, component, monomial_basis_size,
                    monomials_up_to, mul_scalar, multi_partial, partial,
-                   random_jet, random_jet_tuple, truncate)
+                   random_jet_tuple, truncate)
 from .differentials import (eval_multiindex, eval_tree,
                             standard_identity_tree_terms)
 from .relations import (CertifiedRelation, CertifyResult,

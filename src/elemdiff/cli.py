@@ -44,7 +44,7 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 
 
 def _parse_parents(text: str) -> Tree:
-    return Tree.from_parents(_parse_ints(text.strip().strip("[]"), "--tree"))
+    return Tree(_parse_ints(text.strip().strip("[]"), "--tree"))
 
 
 def _parents_text(tree: Tree) -> str:
@@ -76,7 +76,7 @@ def _load_relation(path: str):
             coeff = Fraction(str(item["coeff"]))
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"bad coefficient {item['coeff']!r}")
-        tree = Tree.from_parents(tree)
+        tree = Tree(tree)
         if labels is not None and (len(labels) != tree.size
                                    or set(labels) != set(range(1, max(labels) + 1))):
             raise PreconditionError("labels must colour each vertex and use colours 1..max")

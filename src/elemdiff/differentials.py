@@ -23,6 +23,8 @@ from .trees import Permutation, Tree, chain_tree
 def _check_vector_jets(jets):
     d = None
     for f in jets:
+        if not isinstance(f, Jet):
+            raise MismatchError(f"inputs must be jets, got {type(f).__name__}")
         if d is None:
             d = f.d
         if f.d != d or f.ncomps != f.d:
@@ -75,9 +77,8 @@ def eval_multiindex(mi: MultiIndex, inputs) -> Jet:
     inputs = list(inputs)
     if len(inputs) != mi.n:
         raise MismatchError(f"{mi.n} slots but {len(inputs)} inputs")
-    for f in inputs:
-        if f.d != 1 or not f.is_scalar():
-            raise MismatchError("multi-index evaluation lives in one dimension")
+    if _check_vector_jets(inputs) != 1:
+        raise MismatchError("multi-index evaluation lives in one dimension")
     acc = None
     for i, f in enumerate(inputs, start=1):
         factor = multi_partial(f, (mi.arity(i),))

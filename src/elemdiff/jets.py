@@ -2,7 +2,8 @@
 
 A jet stores, per output component, a dict from exponent tuples (length d,
 total degree <= the truncation degree) to Fraction coefficients.  Everything
-is exact; there is no floating point anywhere in this package.
+is exact; there is no floating point anywhere in this package.  Certificates
+read no `Jet`: their random inputs are plain int tables (`random_jet_tuple`).
 """
 
 from __future__ import annotations
@@ -197,16 +198,10 @@ def monomial_basis_size(d: int, degree: int) -> int:
     return d * math.comb(degree + d, d)
 
 
-def random_jet(rng, d: int, degree: int, bound: int, ncomps: int | None = None) -> Jet:
-    """Integer coefficients drawn uniformly from [-bound, bound], fixed order."""
-    ncomps = ncomps if ncomps is not None else d
+def random_jet_tuple(rng, count: int, d: int, degree: int, bound: int) -> tuple:
+    """`count` inputs, each d tables {alpha: int} over `monomials_up_to(d,
+    degree)`, drawn uniformly from [-bound, bound] input by input, then
+    component by component, in monomial order."""
     monos = monomials_up_to(d, degree)
-    comps = []
-    for _ in range(ncomps):
-        comps.append({alpha: rng.randint(-bound, bound) for alpha in monos})
-    return Jet(d, degree, comps)
-
-
-def random_jet_tuple(rng, count: int, d: int, degree: int, bound: int) -> tuple[Jet, ...]:
-    return tuple(random_jet(rng, d, degree, bound) for _ in range(count))
-
+    return tuple([{alpha: rng.randint(-bound, bound) for alpha in monos} for _ in range(d)]
+                 for _ in range(count))

@@ -1,7 +1,7 @@
 """Exact linear algebra over evaluation columns.
 
 Soundness layout:
-  * entries are exact integers (random integer jets, value at the origin);
+  * entries are exact integers (random integer tables, value at the origin);
   * a nonsingular square minor modulo the prime `PRIME` proves the same
     minor is nonsingular over the rationals, so modular rank is an exact
     lower bound once the minor is re-checked;
@@ -12,9 +12,10 @@ Soundness layout:
     the origin is a polynomial in its inputs' jet coefficients, one monomial
     per component assignment of its vertices, built at most once per
     certificate, and a relation holds iff the combination of its rows'
-    polynomials vanishes.  The columns and those polynomials come from one
-    Butcher recursion (`_butcher`), over integer lists and over sparse
-    polynomials;
+    polynomials vanishes, in integers: `_scaled_combination`, the one exact
+    check, scales by the lcm of the denominators once.  The columns and those
+    polynomials come from one Butcher recursion (`_butcher`), over integer
+    lists and over sparse polynomials;
   * upper bound = rows - verified independent relations.  `_Bounds` states
     the one status rule: certified iff the two bounds meet, and then the
     dimension is their common value; otherwise it is inconclusive, with no
@@ -24,7 +25,7 @@ Block lemma: the monomial of a component assignment js names, for each
 input, the multiset of (gamma_v, js_v) over the vertices v reading it, and
 |gamma_v| is v's arity.  So rows with different `_block_key`s (per colour,
 the sorted arities of its vertices; a plain tree is the row whose n
-vertices read n distinct colours) have disjoint layer-vector supports.  The
+vertices read n distinct colours) have disjoint row-polynomial supports.  The
 span is the direct sum of its blocks: ranks add, every relation splits into
 one relation per block, and a row is independent of the rows before it iff
 it is so within its block.  A certificate is therefore the sum of its
@@ -101,12 +102,13 @@ def _blocks(rows) -> dict:
 # the column source and the evaluation matrix
 
 class JetStream:
-    """Random integer jet tuples, coefficients in [-bound, bound], drawn in
-    order from one `random.Random(seed)`: the only holder of a certificate's
-    seed and bound.  The first draw fixes the tuples' shape (inputs, d,
-    degree).  `prefix(t, shape)` draws only the tuples it lacks, and drawing
-    is sequential, so every matrix built on one stream reads the same tuple
-    behind the same column."""
+    """Random input tuples, each input d tables {alpha: int} in [-bound,
+    bound], drawn in order from one `random.Random(seed)`: the only holder
+    of a certificate's seed and bound.  Its ints stay ints up to the one
+    exact check, `_scaled_combination`.  The first draw fixes the tuples'
+    shape (inputs, d, degree).  `prefix(t, shape)` draws only the tuples it
+    lacks, and drawing is sequential, so every matrix built on one stream
+    reads the same tuple behind the same column."""
 
     def __init__(self, seed: int, bound: int = DEFAULT_RANDOM_BOUND):
         self.seed = seed
@@ -139,7 +141,7 @@ class EvalMatrix:
     rows: tuple       # (tree, labels) pairs
     d: int
     data: list        # integer row vectors: column c is tuple c // d, component c % d + 1
-    tuples: tuple     # the jet tuples behind the columns
+    tuples: tuple     # the input tuples behind the columns
 
     @property
     def ncols(self) -> int:
@@ -147,7 +149,7 @@ class EvalMatrix:
 
 
 def build_matrix(rows: Sequence, d: int, stream: JetStream, tuples: int) -> EvalMatrix:
-    """Evaluate every row on the first `tuples` jet tuples of `stream`,
+    """Evaluate every row on the first `tuples` input tuples of `stream`,
     reading values at the origin."""
     rows = tuple(_labelled(row) for row in rows)
     n, ell, _weights = _rows_shape(rows)
@@ -185,14 +187,14 @@ def _butcher(tree: Tree, labels, d: int, factor, times, plus) -> list:
 
 
 def _column_entries(rows, tuples, d):
-    """Value at the origin of every row on every tuple of integer jets, one
+    """Value at the origin of every row on every tuple of integer tables, one
     column per output component, in exact Python integers: `_butcher` over
     lists with one entry per tuple, each factor computed on first use."""
 
     @functools.cache
     def factor(label, k, gamma):
         w = math.prod(map(math.factorial, gamma))
-        return [int(tup[label - 1].coeff(gamma, k)) * w for tup in tuples]
+        return [tup[label - 1][k - 1][gamma] * w for tup in tuples]
 
     def times(a, b):
         return list(map(operator.mul, a, b))
@@ -476,37 +478,40 @@ def _combination(terms) -> dict:
     return {key: q for key, q in vec.items() if q}
 
 
-def _layer_vector(terms, d: int) -> dict:
-    """Nonzero coefficients of the combination's value at the origin as a
-    polynomial in the inputs' jet coefficients: the sum of its rows'
-    `_row_polynomial`s."""
-    return _combination((coeff, _row_polynomial(_labelled(row), d)) for coeff, row in terms)
+def _scaled_combination(terms, poly) -> tuple:
+    """The one exact check: (scale, vector) for a list of (Fraction, row)
+    terms, scale the lcm of the denominators and vector the nonzero integer
+    coefficients of scale times the combination of the rows' polynomials
+    `poly(row)`, each asked for only as it is added."""
+    scale = math.lcm(*(q.denominator for q, _ in terms))
+    return scale, _combination((q.numerator * (scale // q.denominator), poly(row))
+                               for q, row in terms)
 
 
 def certify_relation(terms, d: int) -> CertifyResult:
     """True iff the rational combination of rows is the zero map in dimension d.
 
-    Exact for every row shape: it holds iff every coefficient of its
-    `_layer_vector` vanishes.  The witness is the first nonzero layer tuple
-    in `_layer_ranks`' witness order, with the least output component
-    nonzero there; when every input feeds one vertex, it is a monomial input
-    tuple and the coefficient is the combination's value on it at the origin.
-    `tuples_checked` is its 1-based position, or the layer size when the
-    relation holds.
+    Exact for every row shape: it holds iff `_scaled_combination` of its
+    rows' `_row_polynomial`s vanishes.  The witness is the first nonzero
+    layer tuple in `_layer_ranks`' witness order, with the least output
+    component nonzero there; when every input feeds one vertex, it is a
+    monomial input tuple and the value is the combination's value on it at
+    the origin.  `tuples_checked` is its 1-based position, or the layer size
+    when the relation holds.
     """
     _check_dimension(d)
     terms = [(Fraction(c), _labelled(row)) for c, row in terms]
     n, _, weights = _rows_shape([row for _, row in terms])
     _check_assignments(d, n)
     size, rank = _layer_ranks(d, weights, n - 1)
-    vec = _layer_vector(terms, d)
+    scale, vec = _scaled_combination(terms, lambda row: _row_polynomial(row, d))
     if not vec:
         items = monomial_basis_size(d, n - 1)
         tuples = math.prod(math.comb(items + m - 1, m) for m in weights)
         return CertifyResult(holds=True, witness=None, tuples_checked=size,
                              tuples_skipped_off_layer=tuples - size)
     comp, tup = min(vec, key=lambda key: (rank(key[1]), key[0]))
-    witness = LayerWitness(slots=tup, component=comp, value=vec[comp, tup])
+    witness = LayerWitness(slots=tup, component=comp, value=Fraction(vec[comp, tup], scale))
     return CertifyResult(holds=False, witness=witness, tuples_checked=rank(tup),
                          tuples_skipped_off_layer=0)
 
@@ -705,9 +710,7 @@ def _certify_block(rows, key, positions, d, stream) -> BlockCertificate:
                 relations.append(CertifiedRelation(leading=positions[pos], coeffs=(),
                                                    verified=False))
                 continue
-            scale = math.lcm(*(q.denominator for _, q in lifted))
-            ok = not _combination((q.numerator * (scale // q.denominator), poly(r))
-                                  for r, q in lifted)
+            ok = not _scaled_combination([(q, r) for r, q in lifted], poly)[1]
             relations.append(CertifiedRelation(
                 leading=positions[pos], coeffs=tuple((positions[r], q) for r, q in lifted),
                 verified=ok))

@@ -124,6 +124,7 @@ class Tree:
     parents: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parents", tuple(self.parents))
         n = len(self.parents)
         if not n:
             raise PreconditionError("tree needs at least one vertex")
@@ -133,10 +134,6 @@ class Tree:
             raise PreconditionError(f"need exactly one root, got {self.parents.count(ROOT)}")
         if not _reaches_root(self.parents):
             raise PreconditionError("parent list has a cycle")
-
-    @staticmethod
-    def from_parents(parents) -> Tree:
-        return Tree(tuple(parents))
 
     @property
     def vertices(self) -> range:

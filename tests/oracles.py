@@ -16,7 +16,8 @@ Each one computes by a route of its own, so an agreement is evidence:
     one evaluation-matrix entry recomputed from scratch;
   * small constructions: all of S_n, grafting sums, the linear trees,
     relabelled multi-indices, every colouring of n vertices in ell
-    colours, colour pushes, the point-stabiliser class, scaled jets.
+    colours, colour pushes, the point-stabiliser class, scaled jets and
+    random jets, one input of `random_jet_tuple` each.
 
 Import as `from oracles import ...`: pytest puts `tests/` on the path.
 """
@@ -33,7 +34,8 @@ from elemdiff import (LabelledObject, MismatchError, MultiIndex, Permutation,
                       PreconditionError, Tree, canonicalize_labelled,
                       enumerate_labelled, subgroup_classes)
 from elemdiff.differentials import _check_vector_jets, eval_tree, standard_identity_terms
-from elemdiff.jets import Jet, _compositions, add, assemble, component, mul_scalar, partial
+from elemdiff.jets import (Jet, _compositions, add, assemble, component, mul_scalar, partial,
+                           random_jet_tuple)
 from elemdiff.trees import ROOT
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,11 @@ def monomial_jet(d: int, degree: int, alpha, comp: int, ncomps: int | None = Non
     comps = [{} for _ in range(ncomps)]
     comps[comp - 1][tuple(alpha)] = Fraction(coeff)
     return Jet(d, degree, comps)
+
+
+def random_jet(rng, d: int, degree: int, bound: int) -> Jet:
+    """One input of `random_jet_tuple`, in its draw order, as a validated jet."""
+    return Jet(d, degree, random_jet_tuple(rng, 1, d, degree, bound)[0])
 
 
 def scale(q, a: Jet) -> Jet:
@@ -376,8 +383,10 @@ def in_relation_span(vector, relations) -> bool:
 
 
 def check_entry(matrix, r: int, c: int) -> bool:
-    """Recompute one entry of an `EvalMatrix` with `tree_value_at_zero`."""
+    """Recompute one entry of an `EvalMatrix` with `tree_value_at_zero`, on
+    its column's coefficient tables read as jets of degree n - 1."""
     t, k = divmod(c, matrix.d)
     tree, labels = matrix.rows[r]
-    jets = {v: matrix.tuples[t][labels[v - 1] - 1] for v in tree.vertices}
+    jets = {v: Jet(matrix.d, tree.size - 1, matrix.tuples[t][labels[v - 1] - 1])
+            for v in tree.vertices}
     return tree_value_at_zero(tree, jets)[k] == matrix.data[r][c]

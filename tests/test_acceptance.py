@@ -39,7 +39,6 @@ from elemdiff import (
     eval_tree,
     find_sigma,
     project_arities,
-    random_jet,
     reduced_tree_character,
     relabel,
     retarget,
@@ -63,6 +62,7 @@ from oracles import (
     monomial_jet,
     point_stabilizer_class,
     pre_lie,
+    random_jet,
     scale,
 )
 
@@ -277,10 +277,10 @@ def _sum_common_degree(values):
 
 def _suite_factorization(rng):
     for n in (2, 3, 4):
-        jets = [random_jet(rng, 1, n, 4, ncomps=1) for _ in range(n)]
+        jets = [random_jet(rng, 1, n, 4) for _ in range(n)]
         for t in enumerate_trees(n):
             assert eval_tree(t, jets) == eval_multiindex(project_arities(t), jets)
-    jets = [random_jet(rng, 1, 5, 4, ncomps=1) for _ in range(5)]
+    jets = [random_jet(rng, 1, 5, 4) for _ in range(5)]
     for t in rng.sample(enumerate_trees(5), 30):
         assert eval_tree(t, jets) == eval_multiindex(project_arities(t), jets)
 

@@ -73,7 +73,7 @@ def test_mi_enum_and_project(capsys):
 
 
 def test_eval_roundtrip(capsys, tmp_path):
-    from elemdiff import random_jet
+    from oracles import random_jet
     import random
     rng = random.Random(5)
     jets = [random_jet(rng, 2, 3, 2) for _ in range(2)]
@@ -95,7 +95,7 @@ def test_eval_roundtrip(capsys, tmp_path):
 def test_eval_refuses_a_vertex_past_the_product_bound(capsys, tmp_path):
     # a star's root with 14 children forms 2 ** 14 > 4,096 products; unguarded,
     # that evaluation takes seconds, and each further child doubles it
-    from elemdiff import random_jet
+    from oracles import random_jet
     import random
     rng = random.Random(5)
     path = tmp_path / "inputs.json"
@@ -110,10 +110,10 @@ def test_eval_refuses_a_vertex_past_the_product_bound(capsys, tmp_path):
 
 
 def test_eval_g_scalar_only(capsys, tmp_path):
-    from elemdiff import random_jet
+    from oracles import random_jet
     import random
     rng = random.Random(6)
-    jets = [random_jet(rng, 1, 3, 2, ncomps=1) for _ in range(3)]
+    jets = [random_jet(rng, 1, 3, 2) for _ in range(3)]
     path = tmp_path / "inputs.json"
     path.write_text(json.dumps([j.to_json_dict() for j in jets]))
     code, out, _ = run_cli(capsys, "eval", "g", "--mi", "z[(1,2)(2,0)(3,0)]",

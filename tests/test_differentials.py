@@ -16,7 +16,6 @@ from elemdiff import (
     eval_tree,
     find_sigma,
     project_arities,
-    random_jet,
     relabel,
     retarget,
     standard_identity_tree_terms,
@@ -37,6 +36,7 @@ from oracles import (
     monomial_jet,
     monomial_term,
     pre_lie,
+    random_jet,
     scale,
     standard_identity,
     tree_polynomial,
@@ -47,7 +47,7 @@ from oracles import (
 def test_single_vertex_is_the_input():
     rng = random.Random(1)
     f = random_jet(rng, 2, 3, 5)
-    t = Tree.from_parents([0])
+    t = Tree([0])
     assert eval_tree(t, [f]) == f
 
 
@@ -55,7 +55,7 @@ def test_result_degree_is_worst_vertex():
     # each vertex spends one derivative per child on its input's degree
     D = 5
     rng = random.Random(2)
-    star = Tree.from_parents([0, 1, 1, 1])  # root has 3 children
+    star = Tree([0, 1, 1, 1])  # root has 3 children
     chain = chain_tree([1, 2, 3, 4])
     jets = [random_jet(rng, 2, D, 3) for _ in range(4)]
     assert eval_tree(star, jets).degree == D - 3
@@ -75,11 +75,22 @@ def test_eval_walks_a_chain_past_the_recursion_limit():
 
 def test_eval_rejects_shape_mismatch():
     rng = random.Random(3)
-    t = Tree.from_parents([0, 1])
+    t = Tree([0, 1])
     with pytest.raises(MismatchError):
         eval_tree(t, [random_jet(rng, 2, 3, 3), random_jet(rng, 3, 3, 3)])
     with pytest.raises(MismatchError):
         eval_tree(t, [random_jet(rng, 2, 3, 3)])
+
+
+def test_eval_refuses_inputs_that_are_not_jets():
+    # a mapping on the vertices is read as its keys; each is refused as
+    # input, not failed on as an attribute
+    rng = random.Random(3)
+    t = Tree([0, 1])
+    f, g = random_jet(rng, 2, 3, 3), random_jet(rng, 2, 3, 3)
+    for inputs in ({1: f, 2: g}, [f, g.comps]):
+        with pytest.raises(MismatchError, match="must be jets"):
+            eval_tree(t, inputs)
 
 
 def test_closed_form_matches_jet_route():
@@ -119,7 +130,7 @@ def test_value_at_zero_matches_eval():
 def test_tree_polynomial_matches_eval():
     rng = random.Random(6)
     d, D = 2, 5
-    t = Tree.from_parents([0, 1, 1])
+    t = Tree([0, 1, 1])
     monos = monomials_up_to(d, 2)
     fam = {
         v: [(rng.randint(-2, 2), rng.choice(monos), rng.randint(1, d)) for _ in range(2)]
@@ -148,7 +159,7 @@ def test_tree_polynomial_matches_eval():
 
 
 def fixed_scalar_tuple(rng, n, D):
-    return [random_jet(rng, 1, D, 4, ncomps=1) for _ in range(n)]
+    return [random_jet(rng, 1, D, 4) for _ in range(n)]
 
 
 def test_scalar_eval_factors_through_arities_exhaustive():
@@ -192,6 +203,15 @@ def test_eval_multiindex_demands_scalars():
         eval_multiindex(mi, [random_jet(rng, 2, 3, 3) for _ in range(3)])
 
 
+def test_eval_multiindex_refuses_inputs_that_are_not_jets():
+    rng = random.Random(10)
+    mi = enumerate_multi_indices(3)[0]
+    f = random_jet(rng, 1, 3, 3)
+    for inputs in ({1: f, 2: f, 3: f}, [f, f, f.comps[0]]):
+        with pytest.raises(MismatchError, match="must be jets"):
+            eval_multiindex(mi, inputs)
+
+
 # ---------------------------------------------------------------------------
 # symmetry of the evaluation
 
@@ -229,12 +249,12 @@ def test_retargeted_trees_share_values_only_in_one_variable():
 
 
 def test_witness_none_for_equal_trees():
-    t = Tree.from_parents([0, 1, 2])
+    t = Tree([0, 1, 2])
     assert find_distinguishing_witness(t, t) is None
 
 
 def test_corolla_family_shape():
-    t = Tree.from_parents([0, 1, 1, 2])
+    t = Tree([0, 1, 1, 2])
     fam = corolla_witness_family(t, 1)
     assert set(fam) == {1, 2, 3, 4}
     assert len(fam[1]) == 2  # watched vertices carry the two-term input
@@ -256,8 +276,8 @@ def sum_to_common_degree(values):
 
 def test_grafting_turns_into_pre_lie():
     rng = random.Random(13)
-    stock = Tree.from_parents([0, 1])
-    scion = Tree.from_parents([0, 1])  # vertices 3 and 4 of each graft
+    stock = Tree([0, 1])
+    scion = Tree([0, 1])  # vertices 3 and 4 of each graft
     for d in (1, 2):
         jets = [random_jet(rng, d, 5, 2) for _ in range(4)]
         vals = [eval_tree(g, jets) for g in graft_sum(scion, stock)]
@@ -305,7 +325,7 @@ def test_left_chain_is_a_chain_tree():
 
 def test_left_chain_validates_order():
     rng = random.Random(17)
-    jets = [random_jet(rng, 1, 4, 2, ncomps=1) for _ in range(3)]
+    jets = [random_jet(rng, 1, 4, 2) for _ in range(3)]
     with pytest.raises(PreconditionError):
         left_chain([1, 1], jets)
     with pytest.raises(PreconditionError):
@@ -335,7 +355,7 @@ def test_standard_identity_tree_route_agrees():
 def test_alternating_sum_on_three_vanishes_in_one_variable():
     rng = random.Random(19)
     for _ in range(5):
-        jets = [random_jet(rng, 1, 5, 3, ncomps=1) for _ in range(3)]
+        jets = [random_jet(rng, 1, 5, 3) for _ in range(3)]
         assert is_zero(standard_identity(jets))
 
 
@@ -362,7 +382,7 @@ def test_alternating_sum_on_five_vanishes_in_two_variables():
 
 def test_labelled_eval_routes_inputs():
     rng = random.Random(22)
-    t = Tree.from_parents([0, 1, 1])
+    t = Tree([0, 1, 1])
     jets = [random_jet(rng, 2, 4, 3) for _ in range(2)]
     lab = eval_tree_labelled(t, [2, 1, 1], jets)
     plain = eval_tree(t, [jets[1], jets[0], jets[0]])
@@ -377,7 +397,7 @@ def test_labelled_eval_retarget_invariant_in_one_variable():
     # retargeting rewires parents but keeps each vertex's child count, and a
     # scalar value only reads (child count, label) per vertex
     rng = random.Random(23)
-    jets = [random_jet(rng, 1, 5, 3, ncomps=1) for _ in range(2)]
+    jets = [random_jet(rng, 1, 5, 3) for _ in range(2)]
     labels = [1, 2, 1]
     t1 = chain_tree([1, 2, 3])
     t2 = chain_tree([2, 1, 3])

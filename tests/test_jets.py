@@ -16,10 +16,10 @@ from elemdiff import (
     mul_scalar,
     multi_partial,
     partial,
-    random_jet,
+    random_jet_tuple,
     truncate,
 )
-from oracles import eval_at_zero, monomial_jet, scale
+from oracles import eval_at_zero, monomial_jet, random_jet, scale
 
 
 def test_monomial_enumeration():
@@ -31,6 +31,11 @@ def test_monomial_enumeration():
             assert all(len(a) == d and sum(a) <= degree for a in monos)
     assert monomial_basis_size(2, 4) == 2 * 15
     assert monomial_basis_size(3, 2) == 30
+
+
+def _scalar_jet(rng, d, degree, bound):
+    """Component 1 of a random vector jet: a scalar jet over d variables."""
+    return component(random_jet(rng, d, degree, bound), 1)
 
 
 def test_monomial_jet_and_coeff():
@@ -59,7 +64,7 @@ def test_component_assemble_round_trip():
     a = random_jet(rng, 3, 2, 4)
     assert assemble(component(a, j) for j in (1, 2, 3)) == a
     with pytest.raises(MismatchError):
-        assemble([component(a, 1), random_jet(rng, 3, 1, 4, ncomps=1)])
+        assemble([component(a, 1), _scalar_jet(rng, 3, 1, 4)])
 
 
 def test_mul_scalar_truncation_rule():
@@ -76,7 +81,7 @@ def test_mul_scalar_truncation_rule():
 
 def test_mul_scalar_ring_laws():
     rng = random.Random(5)
-    u, v, w = (random_jet(rng, 2, 3, 4, ncomps=1) for _ in range(3))
+    u, v, w = (_scalar_jet(rng, 2, 3, 4) for _ in range(3))
     assert mul_scalar(u, v) == mul_scalar(v, u)
     assert mul_scalar(mul_scalar(u, v), w) == mul_scalar(u, mul_scalar(v, w))
     one = monomial_jet(2, 3, (0, 0), 1, ncomps=1)
@@ -95,8 +100,8 @@ def test_partial_drops_one_degree():
 
 def test_partial_leibniz():
     rng = random.Random(8)
-    u = random_jet(rng, 2, 4, 3, ncomps=1)
-    v = random_jet(rng, 2, 4, 3, ncomps=1)
+    u = _scalar_jet(rng, 2, 4, 3)
+    v = _scalar_jet(rng, 2, 4, 3)
     lhs = partial(mul_scalar(u, v), 1)
     rhs = add(mul_scalar(partial(u, 1), truncate(v, 3)),
               mul_scalar(truncate(u, 3), partial(v, 1)))
@@ -105,13 +110,13 @@ def test_partial_leibniz():
 
 def test_partials_commute():
     rng = random.Random(9)
-    u = random_jet(rng, 3, 4, 3, ncomps=1)
+    u = _scalar_jet(rng, 3, 4, 3)
     assert partial(partial(u, 1), 3) == partial(partial(u, 3), 1)
 
 
 def test_multi_partial_matches_iteration():
     rng = random.Random(10)
-    u = random_jet(rng, 2, 5, 3, ncomps=1)
+    u = _scalar_jet(rng, 2, 5, 3)
     assert multi_partial(u, (2, 1)) == partial(partial(partial(u, 1), 1), 2)
     # gamma! shows up when reading a coefficient through derivatives at zero
     m = monomial_jet(2, 5, (2, 3), 1, ncomps=1, coeff=7)
@@ -130,11 +135,19 @@ def test_eval_at_zero_and_truncate():
         truncate(t, 4)
 
 
-def test_random_jet_deterministic():
-    a = random_jet(random.Random(123), 2, 3, 3)
-    b = random_jet(random.Random(123), 2, 3, 3)
-    assert a == b
-    assert all(abs(q) <= 3 and q.denominator == 1 for c in a.comps for q in c.values())
+def test_random_jet_tuple_draw_order():
+    # certificate columns depend on this order: inputs, then components,
+    # then monomials in `monomials_up_to` order, one randint each
+    seed, count, d, degree, bound = 123, 3, 2, 3, 3
+    tables = random_jet_tuple(random.Random(seed), count, d, degree, bound)
+    assert tables == random_jet_tuple(random.Random(seed), count, d, degree, bound)
+    monos = monomials_up_to(d, degree)
+    assert all(len(inputs) == d and all(list(table) == monos for table in inputs)
+               for inputs in tables)
+    rng = random.Random(seed)
+    flat = [table[alpha] for inputs in tables for table in inputs for alpha in monos]
+    assert flat == [rng.randint(-bound, bound) for _ in flat]
+    assert all(type(x) is int for x in flat)
 
 
 def test_json_round_trip():

@@ -16,12 +16,11 @@ from elemdiff import (
     dimension_labelled,
     enumerate_labelled,
     enumerate_trees,
-    random_jet,
     relabel,
 )
 from elemdiff.trees import ROOT
 from oracles import (all_colourings, all_permutations, eval_tree_labelled, identify,
-                     multiplicities)
+                     multiplicities, random_jet)
 
 CFG = RunConfig()
 

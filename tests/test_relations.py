@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from elemdiff import (
+    Jet,
     JetStream,
     MismatchError,
     MultiIndex,
@@ -41,7 +42,6 @@ from elemdiff.relations import (
     _block_key,
     _labelled,
     _layer_ranks,
-    _layer_vector,
     _row_polynomial,
     exact_rank,
     minor_is_nonsingular_mod,
@@ -65,7 +65,10 @@ CFG = RunConfig()
 def test_build_matrix_shape_and_entries():
     rows = enumerate_trees(3)
     m = build_matrix(rows, 2, JetStream(99), 6)
-    assert all(jet.degree == 2 for tup in m.tuples for jet in tup)
+    # each tuple holds one input per colour, d integer tables over the degree-2 monomials
+    assert all(len(tup) == 3 and len(inputs) == 2 for tup in m.tuples for inputs in tup)
+    assert all(list(table) == monomials_up_to(2, 2)
+               for tup in m.tuples for inputs in tup for table in inputs)
     assert m.ncols == 12
     assert len(m.data) == 9
     assert all(isinstance(x, int) for row in m.data for x in row)
@@ -94,7 +97,7 @@ def test_batched_and_exact_entry_paths_agree():
     assert max(abs(x) for row in large.data for x in row) >= 2**63
     coloured = [(o.tree, o.labels) for o in enumerate_labelled((2, 2))]
     assert any(len(set(labels)) < len(labels) for _, labels in coloured)
-    corolla = Tree.from_parents([0, 1, 1, 1, 1])
+    corolla = Tree([0, 1, 1, 1, 1])
     for m in (small, large, build_matrix(coloured, 2, JetStream(32), 3),
               build_matrix([corolla, chain_tree(range(1, 6))], 3, JetStream(33), 2),
               build_matrix(enumerate_trees(3), 3, JetStream(34), 3)):
@@ -108,7 +111,8 @@ def test_build_matrix_walks_a_chain_past_the_recursion_limit():
     # f'(0)^(n-1) f(0) = a_1^(n-1) a_0 of the tuple's one jet
     n = sys.getrecursionlimit() + 1
     m = build_matrix([(chain_tree(range(1, n + 1)), (1,) * n)], 1, JetStream(0), 3)
-    for c, (jet,) in enumerate(m.tuples):
+    for c, (table,) in enumerate(m.tuples):
+        jet = Jet(1, n - 1, table)
         assert m.data[0][c] == jet.coeff((1,)) ** (n - 1) * jet.coeff((0,))
         assert check_entry(m, 0, c)
 
@@ -274,17 +278,17 @@ def _profile_id(value):
     (3, 4, None), (2, 4, (2, 2)),
 ], ids=_profile_id)
 def test_layer_vector_is_tree_value_at_zero(d, n, profile):
-    # each sparse vector, read as a polynomial in the jet coefficients and
+    # each row polynomial, read as a polynomial in the jet coefficients and
     # evaluated on random integer jets, is the row's value at the origin
     rows, ell, weights = _rows_of(d, n, profile)
     slot_of = [i for i in range(ell) for _ in range(weights[i])]
     rng = random.Random(41)
     for _ in range(3):
-        jets = random_jet_tuple(rng, ell, d, n - 1, 5)
+        jets = [Jet(d, n - 1, tables) for tables in random_jet_tuple(rng, ell, d, n - 1, 5)]
         for row in rows:
-            tree, labels = row if profile else (row, tuple(range(1, n + 1)))
+            tree, labels = _labelled(row)
             got = [Fraction(0)] * d
-            for (comp, tup), q in _layer_vector([(Fraction(1), row)], d).items():
+            for (comp, tup), q in _row_polynomial((tree, labels), d).items():
                 for p, (alpha, k) in enumerate(tup):
                     q *= jets[slot_of[p]].coeff(alpha, k)
                 got[comp - 1] += q
@@ -302,7 +306,7 @@ def test_layer_keys_are_sorted_within_each_slot(profile):
     starts = list(itertools.accumulate(weights, initial=0))
     mixed = 0
     for row in rows:
-        for _, tup in _layer_vector([(Fraction(1), row)], d):
+        for _, tup in _row_polynomial(_labelled(row), d):
             for lo, hi in zip(starts, starts[1:]):
                 order = [(sum(alpha), alpha, k) for alpha, k in tup[lo:hi]]
                 assert order == sorted(order)
@@ -424,19 +428,22 @@ def test_certify_scale_invariance():
     assert res.holds
 
 
-def test_witness_independent_of_thread_count():
-    """The sweep is serial: the witness is the first layer tuple, in
-    `_layer_tuples` order, on which the combination is nonzero, and the
-    tuple count is that tuple's 1-based position."""
+@pytest.mark.parametrize("c1,c2", [(1, -1), (Fraction(3, 2), Fraction(-1, 3))],
+                         ids=["integer", "fractional"])
+def test_witness_is_the_first_nonzero_layer_tuple(c1, c2):
+    """The witness is the first layer tuple, in `_layer_tuples` order, on
+    which the combination is nonzero, and the tuple count is that tuple's
+    1-based position.  Its value, divided back from the integer check's
+    scale, is the combination of the rows' `monomial_term`s there."""
     t1, t2 = same_fiber_pair()
     n = t1.size
-    res = certify_relation([(1, t1), (-1, t2)], 2)
+    res = certify_relation([(c1, t1), (c2, t2)], 2)
     for position, tup in enumerate(_layer_tuples(2, n, (1,) * n, n - 1), start=1):
         sums = {}
-        for tree, sign in ((t1, 1), (t2, -1)):
+        for tree, coeff in ((t1, c1), (t2, c2)):
             val = monomial_term(tree, {v: tup[v - 1] for v in tree.vertices})
             if val.coeff and not any(val.exponent):
-                sums[val.comp] = sums.get(val.comp, 0) + sign * val.coeff
+                sums[val.comp] = sums.get(val.comp, 0) + coeff * val.coeff
         nonzero = sorted(k for k, q in sums.items() if q)
         if nonzero:
             break
@@ -446,6 +453,7 @@ def test_witness_independent_of_thread_count():
     assert res.witness.slots == tup
     assert res.witness.component == nonzero[0]
     assert res.witness.value == sums[nonzero[0]]
+    assert isinstance(res.witness.value, Fraction)
 
 
 def test_dimension_below_one_is_refused():

@@ -87,18 +87,29 @@ def test_trees_with_arities_validation():
 
 def test_parent_list_round_trip():
     for t in enumerate_trees(4):
-        assert Tree.from_parents(list(t.parents)) == t
+        assert Tree(list(t.parents)) == t
+
+
+def test_tree_from_a_list_is_its_tuple():
+    # a list of parents is stored as a tuple: hashable, equal to the tuple's
+    # tree, and found among the enumerated trees
+    t = Tree([0, 1])
+    assert t.parents == (0, 1)
+    assert hash(t) == hash(Tree((0, 1)))
+    assert t == Tree((0, 1))
+    assert t in enumerate_trees(2)
+    assert t in set(enumerate_trees(2))
 
 
 def test_tree_validation():
     with pytest.raises(PreconditionError):
-        Tree.from_parents([])
+        Tree([])
     with pytest.raises(PreconditionError):
-        Tree.from_parents([0, 0])  # two roots
+        Tree([0, 0])  # two roots
     with pytest.raises(PreconditionError):
-        Tree.from_parents([2, 1])  # no root, 1 <-> 2 cycle
+        Tree([2, 1])  # no root, 1 <-> 2 cycle
     with pytest.raises(PreconditionError):
-        Tree.from_parents([0, 5])  # parent not a vertex
+        Tree([0, 5])  # parent not a vertex
     for parents in ((), (0, -1), (2, 1)):  # empty; parent below 0; no root
         with pytest.raises(PreconditionError):
             Tree(parents)
@@ -146,7 +157,7 @@ def test_reaches_root_walks_each_vertex_once():
 
 
 def test_order_is_breadth_first_with_children_ascending():
-    t = Tree.from_parents([3, 0, 2, 2, 1, 3])
+    t = Tree([3, 0, 2, 2, 1, 3])
     assert t.order == (2, 3, 4, 1, 6, 5)
     for t in enumerate_trees(4):
         level, want = [t.root], []
@@ -158,7 +169,7 @@ def test_order_is_breadth_first_with_children_ascending():
 
 
 def test_children_sorted_and_consistent():
-    t = Tree.from_parents([0, 1, 1, 3, 1])
+    t = Tree([0, 1, 1, 3, 1])
     assert t.root == 1
     assert t.children(1) == (2, 3, 5)
     assert t.children(3) == (4,)
@@ -224,7 +235,7 @@ def test_relabel_action_sampled_n4():
 
 def test_relabel_and_retarget_need_the_tree_degree():
     # a permutation of another degree would move the tree off {1..n}
-    t = Tree.from_parents([0, 1])
+    t = Tree([0, 1])
     for sigma in (Permutation((1, 3, 2)), Permutation((1,))):
         with pytest.raises(MismatchError):
             relabel(t, sigma)
@@ -233,7 +244,7 @@ def test_relabel_and_retarget_need_the_tree_degree():
 
 
 def test_relabel_preserves_shape():
-    t = Tree.from_parents([0, 1, 2, 2])
+    t = Tree([0, 1, 2, 2])
     s = Permutation.from_cycles(4, (1, 4, 2))
     u = relabel(t, s)
     assert lex_min(u) == lex_min(t)
@@ -288,7 +299,7 @@ def test_retarget_identity_and_composition():
 
 
 def test_retarget_preserves_arity_profile():
-    t = Tree.from_parents([0, 1, 1, 2])
+    t = Tree([0, 1, 1, 2])
     for s in all_permutations(4):
         res = retarget(t, s)
         if res is None:
@@ -322,7 +333,7 @@ def test_find_sigma_round_trip_exhaustive():
 
 def test_find_sigma_rejects_arity_mismatch():
     t1 = chain_tree([1, 2, 3])          # arities 1,1,0
-    t2 = Tree.from_parents([0, 1, 1])   # arities 2,0,0
+    t2 = Tree([0, 1, 1])   # arities 2,0,0
     with pytest.raises(PreconditionError):
         find_sigma(t1, t2)
     with pytest.raises(MismatchError):
@@ -334,8 +345,8 @@ def test_find_sigma_rejects_arity_mismatch():
 
 
 def test_graft_sum_structure():
-    stock = Tree.from_parents([0, 1])
-    scion = Tree.from_parents([0, 1])  # its vertex w is vertex 2 + w of a graft
+    stock = Tree([0, 1])
+    scion = Tree([0, 1])  # its vertex w is vertex 2 + w of a graft
     grafts = graft_sum(scion, stock)
     assert len(grafts) == stock.size
     roots = set()
@@ -354,7 +365,7 @@ def test_chain_tree_and_linearity():
     assert c.root == 3
     assert c.parents == (3, 1, 0)
     assert is_linear(c)
-    assert not is_linear(Tree.from_parents([0, 1, 1]))
+    assert not is_linear(Tree([0, 1, 1]))
     # a linear tree is an ordering of its labels root-down, so n! of them
     assert sum(1 for t in enumerate_trees(5) if is_linear(t)) == 120
     assert sum(1 for t in enumerate_trees(4) if is_linear(t)) == 24
