@@ -3,23 +3,22 @@
 Artifacts go to stdout (or --out); errors leave as a JSON object on stderr
 with a nonzero exit.  All randomness flows from --seed, so equal invocations
 emit byte-identical artifacts.
+
+Most of a short run's time is start-up, so the handlers import `groups`
+and `differentials` themselves.  The modules imported below stay at the
+top: `bench/run.py --trace 1` relies on `import elemdiff.cli` to load the
+layers it wraps.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
 
 from .config import RunConfig
-from .differentials import (eval_multiindex, eval_tree,
-                            standard_identity_tree_terms)
 from .errors import ElemdiffError, PreconditionError, SizeLimitError
-from .groups import (character_table, conjugacy_classes, constraint_scan,
-                     subgroup_classes, tree_fixed_character)
 from .jets import Jet
 from .labelling import enumerate_labelled
 from .multiindex import MultiIndex, enumerate_multi_indices, project_arities
@@ -138,6 +137,7 @@ def _cmd_mi_project(args, config):
 
 
 def _cmd_eval_f(args, config):
+    from .differentials import eval_tree
     tree = _parse_parents(args.tree)
     inputs = _load_jets(args.inputs)
     result = eval_tree(tree, inputs, degree=args.degree)
@@ -145,6 +145,7 @@ def _cmd_eval_f(args, config):
 
 
 def _cmd_eval_g(args, config):
+    from .differentials import eval_multiindex
     mi = MultiIndex.parse(args.mi)
     inputs = _load_jets(args.inputs)
     result = eval_multiindex(mi, inputs)
@@ -174,6 +175,7 @@ def _certify_payload(terms, d: int) -> dict:
 
 
 def _cmd_identity_s2d(args, config):
+    from .differentials import standard_identity_tree_terms
     if args.dim > 3:
         raise SizeLimitError("the alternating identity is desk scale for d <= 3")
     check_dim = args.check_dim if args.check_dim is not None else args.dim
@@ -188,6 +190,9 @@ def _cmd_identity_certify(args, config):
 
 
 def _cmd_char_table(args, config):
+    import csv
+    import io
+    from .groups import character_table, conjugacy_classes
     rows = character_table(args.n)
     labels = [cc.label for cc in conjugacy_classes(args.n)]
     if args.format == "json":
@@ -205,6 +210,7 @@ def _cmd_char_table(args, config):
 
 
 def _cmd_groups_subgroups(args, config):
+    from .groups import subgroup_classes
     subs = subgroup_classes(args.n)
     return _json_artifact({
         "n": args.n,
@@ -223,6 +229,7 @@ def _cmd_groups_subgroups(args, config):
 
 
 def _cmd_groups_scan(args, config):
+    from .groups import constraint_scan, tree_fixed_character
     reference = tree_fixed_character(5) if args.control else None
     report = constraint_scan(reference)
     return _json_artifact(report.to_json_dict())

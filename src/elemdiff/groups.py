@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import MismatchError, PreconditionError, SizeLimitError
+from .errors import MismatchError, PreconditionError, ReadOnly, SizeLimitError
 from .trees import Permutation, compose_with, inverse_images, parent_lists
 
 MAX_SUBGROUP_DEGREE = 6
@@ -28,12 +27,15 @@ MAX_TREE_CHARACTER_DEGREE = 5
 # ---------------------------------------------------------------------------
 # conjugacy classes
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    partition: tuple        # cycle type, longest first, fixed points included
-    representative: Permutation
-    size: int
-    label: str
+class ConjugacyClass(ReadOnly):
+    __slots__ = ("partition", "representative", "size", "label")
+
+    def __init__(self, partition: tuple, representative: Permutation, size: int, label: str):
+        # cycle type, longest first, fixed points included
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "label", label)
 
 
 def _partitions(n: int):
@@ -86,16 +88,17 @@ def conjugacy_classes(n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # character rows
 
-@dataclass(frozen=True)
-class CharacterRow:
+class CharacterRow(ReadOnly):
     """A class function, one integer per conjugacy class in display order."""
-    n: int
-    name: str
-    values: tuple
 
-    def __post_init__(self):
-        if len(self.values) != len(conjugacy_classes(self.n)):
+    __slots__ = ("n", "name", "values")
+
+    def __init__(self, n: int, name: str, values: tuple):
+        if len(values) != len(conjugacy_classes(n)):
             raise MismatchError("one value per conjugacy class")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
 
     def inner(self, other: "CharacterRow") -> Fraction:
         if self.n != other.n:
@@ -156,15 +159,21 @@ def character_table(n: int = 5) -> list:
 # ---------------------------------------------------------------------------
 # subgroups up to conjugacy
 
-@dataclass(frozen=True)
-class SubgroupClass:
-    order: int
-    generators: tuple
-    elements: frozenset
-    cycle_profile: tuple     # sorted cycle types of all elements
-    class_size: int          # number of conjugate subgroups
-    fixes_point: bool
-    label: str
+class SubgroupClass(ReadOnly):
+    __slots__ = ("order", "generators", "elements", "cycle_profile", "class_size",
+                 "fixes_point", "label")
+
+    def __init__(self, order: int, generators: tuple, elements: frozenset,
+                 cycle_profile: tuple, class_size: int, fixes_point: bool, label: str):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
+        # sorted cycle types of all elements
+        object.__setattr__(self, "cycle_profile", cycle_profile)
+        # number of conjugate subgroups
+        object.__setattr__(self, "class_size", class_size)
+        object.__setattr__(self, "fixes_point", fixes_point)
+        object.__setattr__(self, "label", label)
 
 
 def _closure(elems: frozenset, gens) -> frozenset:
@@ -268,13 +277,16 @@ def coset_character(sub: SubgroupClass) -> CharacterRow:
     return CharacterRow(n, f"cosets_mod_{sub.label}", vals)
 
 
-@dataclass(frozen=True)
-class ScanSurvivor:
-    subgroup: SubgroupClass
-    values: tuple
-    final_lhs: int
-    final_rhs: int
-    contradiction: bool
+class ScanSurvivor(ReadOnly):
+    __slots__ = ("subgroup", "values", "final_lhs", "final_rhs", "contradiction")
+
+    def __init__(self, subgroup: SubgroupClass, values: tuple, final_lhs: int,
+                 final_rhs: int, contradiction: bool):
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "final_lhs", final_lhs)
+        object.__setattr__(self, "final_rhs", final_rhs)
+        object.__setattr__(self, "contradiction", contradiction)
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,12 +300,14 @@ class ScanSurvivor:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    n: int
-    class_count: int
-    reference: CharacterRow
-    survivors: tuple
+class ScanReport(ReadOnly):
+    __slots__ = ("n", "class_count", "reference", "survivors")
+
+    def __init__(self, n: int, class_count: int, reference: CharacterRow, survivors: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "class_count", class_count)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "survivors", survivors)
 
     def to_json_dict(self) -> dict:
         return {

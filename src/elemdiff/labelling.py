@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .errors import MismatchError, PreconditionError, SizeLimitError
+from .errors import MismatchError, PreconditionError, ReadOnly, SizeLimitError
 from .trees import ROOT, Tree
 
 # bound on n^(n-2) x colourings, a conservative proxy for the work of one
@@ -31,16 +30,24 @@ from .trees import ROOT, Tree
 MAX_WALK_PAIRS = 10**6
 
 
-@dataclass(frozen=True)
-class LabelledObject:
-    tree: Tree
-    labels: tuple  # labels[v-1] = colour of vertex v
+class LabelledObject(ReadOnly):
+    __slots__ = ("tree", "labels")
 
-    def __post_init__(self):
-        if len(self.labels) != self.tree.size:
+    def __init__(self, tree: Tree, labels: tuple):  # labels[v-1] = colour of vertex v
+        if len(labels) != tree.size:
             raise MismatchError("one label per vertex")
-        if any(not isinstance(x, int) or x < 1 for x in self.labels):
+        if any(not isinstance(x, int) or x < 1 for x in labels):
             raise PreconditionError("labels are positive integers")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tree == other.tree and self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.tree, self.labels))
 
 
 def _lex_min(tree: Tree, labels) -> tuple:

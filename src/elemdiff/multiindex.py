@@ -3,28 +3,35 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import PreconditionError, SizeLimitError
+from .errors import PreconditionError, ReadOnly, SizeLimitError
 from .jets import _compositions
 from .trees import Tree
 
 MAX_ENUM_N = 12
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(ReadOnly):
     """arities[v-1] is the child count assigned to vertex v; they sum to n-1."""
 
-    arities: tuple[int, ...]
+    __slots__ = ("arities",)
 
-    def __post_init__(self):
-        if any(a < 0 for a in self.arities):
+    def __init__(self, arities: tuple[int, ...]):
+        if any(a < 0 for a in arities):
             raise PreconditionError("arities must be nonnegative")
-        if sum(self.arities) != len(self.arities) - 1:
+        if sum(arities) != len(arities) - 1:
             raise PreconditionError(
-                f"arities must sum to n-1, got {sum(self.arities)} for n={len(self.arities)}"
+                f"arities must sum to n-1, got {sum(arities)} for n={len(arities)}"
             )
+        object.__setattr__(self, "arities", arities)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arities == other.arities
+
+    def __hash__(self):
+        return hash((self.arities,))
 
     @property
     def n(self) -> int:

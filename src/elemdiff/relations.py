@@ -41,14 +41,12 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from types import MappingProxyType
-from typing import Optional, Sequence
 
 from .config import DEFAULT_RANDOM_BOUND, RunConfig
-from .errors import (MismatchError, PreconditionError, SizeLimitError,
+from .errors import (MismatchError, PreconditionError, ReadOnly, SizeLimitError,
                      SpanInstabilityError)
 from .jets import monomial_basis_size, monomials_up_to, random_jet_tuple
 from .labelling import enumerate_labelled
@@ -136,19 +134,21 @@ class JetStream:
                 "seed": self.seed, "bound": self.bound}
 
 
-@dataclass
 class EvalMatrix:
-    rows: tuple       # (tree, labels) pairs
-    d: int
-    data: list        # integer row vectors: column c is tuple c // d, component c % d + 1
-    tuples: tuple     # the input tuples behind the columns
+    __slots__ = ("rows", "d", "data", "tuples")
+
+    def __init__(self, rows: tuple, d: int, data: list, tuples: tuple):
+        self.rows = rows        # (tree, labels) pairs
+        self.d = d
+        self.data = data        # integer row vectors: column c is tuple c // d, component c % d + 1
+        self.tuples = tuples    # the input tuples behind the columns
 
     @property
     def ncols(self) -> int:
         return len(self.tuples) * self.d
 
 
-def build_matrix(rows: Sequence, d: int, stream: JetStream, tuples: int) -> EvalMatrix:
+def build_matrix(rows, d: int, stream: JetStream, tuples: int) -> EvalMatrix:
     """Evaluate every row on the first `tuples` input tuples of `stream`,
     reading values at the origin."""
     rows = tuple(_labelled(row) for row in rows)
@@ -193,7 +193,7 @@ def _column_entries(rows, tuples, d):
 
     @functools.cache
     def factor(label, k, gamma):
-        w = math.prod(map(math.factorial, gamma))
+        w = math.prod(map(math.factorial, filter(None, gamma)))
         return [tup[label - 1][k - 1][gamma] * w for tup in tuples]
 
     def times(a, b):
@@ -209,12 +209,14 @@ def _column_entries(rows, tuples, d):
 # ---------------------------------------------------------------------------
 # modular elimination and exact rank
 
-@dataclass
 class Elimination:
-    rank: int
-    pivot_rows: list
-    pivot_cols: list
-    null_rows: list      # positions of rows that reduced to zero
+    __slots__ = ("rank", "pivot_rows", "pivot_cols", "null_rows")
+
+    def __init__(self, rank: int, pivot_rows: list, pivot_cols: list, null_rows: list):
+        self.rank = rank
+        self.pivot_rows = pivot_rows
+        self.pivot_cols = pivot_cols
+        self.null_rows = null_rows      # positions of rows that reduced to zero
 
 
 def eliminate_mod(matrix, p: int) -> Elimination:
@@ -246,7 +248,7 @@ def eliminate_mod(matrix, p: int) -> Elimination:
 
 
 def minor_is_nonsingular_mod(matrix, row_positions, col_positions,
-                             p: int) -> Optional[dict]:
+                             p: int) -> dict | None:
     """Fresh elimination (with pivoting) of the selected square minor mod p,
     transposed, beside the matrix's other rows at the same columns.  None
     if the minor is singular mod p.  Otherwise, by back-substitution, each
@@ -360,7 +362,7 @@ def _rank_gauss(matrix):
 # ---------------------------------------------------------------------------
 # rational reconstruction
 
-def rational_reconstruct(a: int, p: int) -> Optional[Fraction]:
+def rational_reconstruct(a: int, p: int) -> Fraction | None:
     """Wang lifting: the unique fraction with |num|, den <= sqrt(p/2), or None."""
     a %= p
     if a == 0:
@@ -382,11 +384,22 @@ def rational_reconstruct(a: int, p: int) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 # identity certification by exact sparse layer vectors
 
-@dataclass(frozen=True)
-class LayerWitness:
-    slots: tuple        # ((alpha, component), ...): m per input of multiplicity m
-    component: int      # output coordinate carrying the nonzero value
-    value: Fraction     # the monomial's coefficient there
+class LayerWitness(ReadOnly):
+    __slots__ = ("slots", "component", "value")
+
+    def __init__(self, slots: tuple, component: int, value: Fraction):
+        # ((alpha, component), ...): m per input of multiplicity m
+        object.__setattr__(self, "slots", slots)
+        # output coordinate carrying the nonzero value
+        object.__setattr__(self, "component", component)
+        # the monomial's coefficient there
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.slots, self.component, self.value)
+                == (other.slots, other.component, other.value))
 
     def to_json_dict(self) -> dict:
         return {
@@ -396,12 +409,22 @@ class LayerWitness:
         }
 
 
-@dataclass(frozen=True)
-class CertifyResult:
-    holds: bool
-    witness: Optional[LayerWitness]
-    tuples_checked: int
-    tuples_skipped_off_layer: int
+class CertifyResult(ReadOnly):
+    __slots__ = ("holds", "witness", "tuples_checked", "tuples_skipped_off_layer")
+
+    def __init__(self, holds: bool, witness: LayerWitness | None, tuples_checked: int,
+                 tuples_skipped_off_layer: int):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "tuples_checked", tuples_checked)
+        object.__setattr__(self, "tuples_skipped_off_layer", tuples_skipped_off_layer)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.holds, self.witness, self.tuples_checked, self.tuples_skipped_off_layer)
+                == (other.holds, other.witness, other.tuples_checked,
+                    other.tuples_skipped_off_layer))
 
 
 @functools.lru_cache(maxsize=1)  # repeated certify_relation calls of one shape
@@ -540,11 +563,15 @@ def _check_assignments(d: int, n: int):
 # ---------------------------------------------------------------------------
 # two-sided dimension certificates
 
-@dataclass(frozen=True)
-class CertifiedRelation:
-    leading: int                      # row position the relation eliminates
-    coeffs: tuple                     # ((row position, Fraction), ...) incl. leading 1
-    verified: bool
+class CertifiedRelation(ReadOnly):
+    __slots__ = ("leading", "coeffs", "verified")
+
+    def __init__(self, leading: int, coeffs: tuple, verified: bool):
+        # row position the relation eliminates
+        object.__setattr__(self, "leading", leading)
+        # ((row position, Fraction), ...) incl. leading 1
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "verified", verified)
 
     def to_json_dict(self) -> dict:
         return {
@@ -554,8 +581,10 @@ class CertifiedRelation:
         }
 
 
-class _Bounds:
+class _Bounds(ReadOnly):
     """The status rule and JSON record of anything with a `lower` and an `upper` bound."""
+
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:
@@ -566,7 +595,7 @@ class _Bounds:
         return "certified" if self.certified else "inconclusive"
 
     @property
-    def dimension(self) -> Optional[int]:
+    def dimension(self) -> int | None:
         return self.lower if self.certified else None
 
     def to_json_dict(self) -> dict:
@@ -574,26 +603,41 @@ class _Bounds:
                 "lower": self.lower, "upper": self.upper}
 
 
-@dataclass(frozen=True)
 class BlockCertificate(_Bounds):
-    key: tuple                        # the block's `_block_key`
-    lower: int
-    upper: int
-    pivots: tuple                     # (global row position, column in the block), ascending
-    relations: tuple                  # CertifiedRelation, global row positions
+    __slots__ = ("key", "lower", "upper", "pivots", "relations")
+
+    def __init__(self, key: tuple, lower: int, upper: int, pivots: tuple, relations: tuple):
+        # the block's `_block_key`
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        # (global row position, column in the block), ascending
+        object.__setattr__(self, "pivots", pivots)
+        # CertifiedRelation, global row positions
+        object.__setattr__(self, "relations", relations)
 
 
-@dataclass(frozen=True)
 class DimensionCertificate(_Bounds):
-    rows: tuple                       # the (tree, labels) rows certified, in input order
-    d: int
-    lower: int
-    upper: int
-    minor_rows: tuple
-    minor_cols: tuple                 # each pivot row's column in its block's matrix
-    relations: tuple                  # CertifiedRelation, echelon leadings
-    scheme: MappingProxyType          # read-only: `columns` and the JSON read it
-    block_bounds: tuple               # BlockCertificate, blocks in order of first row
+    __slots__ = ("rows", "d", "lower", "upper", "minor_rows", "minor_cols", "relations",
+                 "scheme", "block_bounds")
+
+    def __init__(self, rows: tuple, d: int, lower: int, upper: int, minor_rows: tuple,
+                 minor_cols: tuple, relations: tuple, scheme: MappingProxyType,
+                 block_bounds: tuple):
+        # the (tree, labels) rows certified, in input order
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "minor_rows", minor_rows)
+        # each pivot row's column in its block's matrix
+        object.__setattr__(self, "minor_cols", minor_cols)
+        # CertifiedRelation, echelon leadings
+        object.__setattr__(self, "relations", relations)
+        # read-only: `columns` and the JSON read it
+        object.__setattr__(self, "scheme", scheme)
+        # BlockCertificate, blocks in order of first row
+        object.__setattr__(self, "block_bounds", block_bounds)
 
     @property
     def rank(self) -> int:
@@ -638,7 +682,7 @@ MAX_COLUMNS = 6000
 PRIME = (1 << 61) - 1
 
 
-def dimension_certificate(rows: Sequence, d: int,
+def dimension_certificate(rows, d: int,
                           config: RunConfig) -> DimensionCertificate:
     """Two-sided dimension of the span of the rows' evaluation maps.
 
@@ -739,7 +783,7 @@ def _check_span(n: int):
 
 
 def dimension_w(d: int, n: int, linear: bool = False,
-                config: Optional[RunConfig] = None) -> DimensionCertificate:
+                config: RunConfig | None = None) -> DimensionCertificate:
     """Certified dimension of the span of all arity-n rows, or of the
     linear ones: the chain orbit 1,...,1,0."""
     config = config or RunConfig()
@@ -749,7 +793,7 @@ def dimension_w(d: int, n: int, linear: bool = False,
 
 
 def dimension_labelled(d: int, n: int, multiplicities,
-                       config: Optional[RunConfig] = None) -> DimensionCertificate:
+                       config: RunConfig | None = None) -> DimensionCertificate:
     """Certified dimension of the span of one colour profile's evaluations.
 
     Each representative is evaluated with vertex v reading input number
@@ -802,7 +846,7 @@ def trace_on_span(certificate: DimensionCertificate, sigma: Permutation) -> Frac
 # block decomposition by arity multi-index
 
 def block_basis(d: int, n: int, orbit_code: str,
-                config: Optional[RunConfig] = None) -> DimensionCertificate:
+                config: RunConfig | None = None) -> DimensionCertificate:
     """Certificate of the span of the trees whose arity multi-index lies in
     one orbit, in enumeration order.  Its records are the orbit's
     multi-index blocks: a plain row's key is ((a_1,), ..., (a_n,)), and a

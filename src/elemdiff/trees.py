@@ -8,11 +8,10 @@ lex-min member, which `labelling` builds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import MismatchError, PreconditionError, SizeLimitError
+from .errors import MismatchError, PreconditionError, ReadOnly, SizeLimitError
 
 ROOT = 0
 
@@ -38,15 +37,23 @@ def inverse_images(images: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(ReadOnly):
     """Bijection of {1..n}, stored as the tuple of images of 1, 2, ..., n."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise PreconditionError(f"not a bijection of 1..{len(self.images)}: {self.images!r}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise PreconditionError(f"not a bijection of 1..{len(images)}: {images!r}")
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @staticmethod
     def identity(n: int) -> Permutation:
@@ -117,23 +124,31 @@ def _reaches_root(parents) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(ReadOnly):
     """Rooted tree on {1..n}: parents[v-1] is vertex v's parent, 0 at the root."""
 
-    parents: tuple[int, ...]
+    __slots__ = ("parents", "__dict__")     # the cached properties live in __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        n = len(self.parents)
+    def __init__(self, parents):
+        parents = tuple(parents)
+        n = len(parents)
         if not n:
             raise PreconditionError("tree needs at least one vertex")
-        if min(self.parents) < ROOT or max(self.parents) > n:
-            raise PreconditionError(f"parents must lie in 0..{n}: {self.parents!r}")
-        if self.parents.count(ROOT) != 1:
-            raise PreconditionError(f"need exactly one root, got {self.parents.count(ROOT)}")
-        if not _reaches_root(self.parents):
+        if min(parents) < ROOT or max(parents) > n:
+            raise PreconditionError(f"parents must lie in 0..{n}: {parents!r}")
+        if parents.count(ROOT) != 1:
+            raise PreconditionError(f"need exactly one root, got {parents.count(ROOT)}")
+        if not _reaches_root(parents):
             raise PreconditionError("parent list has a cycle")
+        object.__setattr__(self, "parents", parents)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parents == other.parents
+
+    def __hash__(self):
+        return hash((self.parents,))
 
     @property
     def vertices(self) -> range:

@@ -30,13 +30,14 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping
 
-from elemdiff import (LabelledObject, MismatchError, MultiIndex, Permutation,
-                      PreconditionError, Tree, canonicalize_labelled,
-                      enumerate_labelled, subgroup_classes)
 from elemdiff.differentials import _check_vector_jets, eval_tree, standard_identity_terms
+from elemdiff.errors import MismatchError, PreconditionError
+from elemdiff.groups import subgroup_classes
 from elemdiff.jets import (Jet, _compositions, add, assemble, component, mul_scalar, partial,
                            random_jet_tuple)
-from elemdiff.trees import ROOT
+from elemdiff.labelling import LabelledObject, canonicalize_labelled, enumerate_labelled
+from elemdiff.multiindex import MultiIndex
+from elemdiff.trees import Permutation, ROOT, Tree
 
 # ---------------------------------------------------------------------------
 # permutations, trees, multi-indices and colourings

@@ -25,33 +25,18 @@ from fractions import Fraction
 
 import pytest
 
-from elemdiff import (
-    CharacterRow,
-    Permutation,
-    RunConfig,
-    canonicalize_labelled,
-    conjugacy_classes,
-    constraint_scan,
-    dimension_certificate,
-    enumerate_multi_indices,
-    enumerate_trees,
-    eval_multiindex,
-    eval_tree,
-    find_sigma,
-    project_arities,
-    reduced_tree_character,
-    relabel,
-    retarget,
-    sign_natural_character,
-    standard_identity_tree_terms,
-    subgroup_classes,
-    trace_on_span,
-    tree_fixed_character,
-    certify_relation,
-)
 from elemdiff.cli import main as cli_main
+from elemdiff.config import RunConfig
+from elemdiff.differentials import eval_multiindex, eval_tree, standard_identity_tree_terms
+from elemdiff.groups import (CharacterRow, conjugacy_classes, constraint_scan,
+                             reduced_tree_character, sign_natural_character, subgroup_classes,
+                             tree_fixed_character)
 from elemdiff.jets import add, truncate
-from elemdiff.relations import _orbit_rows, exact_rank
+from elemdiff.labelling import canonicalize_labelled
+from elemdiff.multiindex import enumerate_multi_indices, project_arities
+from elemdiff.relations import (_orbit_rows, certify_relation, dimension_certificate, exact_rank,
+                                trace_on_span)
+from elemdiff.trees import Permutation, enumerate_trees, find_sigma, relabel, retarget
 from oracles import (
     all_permutations,
     eval_tree_labelled,

@@ -56,7 +56,8 @@ def test_hooks_bind_parameters_the_package_still_has():
 
 
 def test_hooks_read_attributes_the_results_still_have():
-    from elemdiff import RunConfig, chain_tree, enumerate_trees
+    from elemdiff.config import RunConfig
+    from elemdiff.trees import chain_tree, enumerate_trees
     from elemdiff.relations import PRIME, JetStream
 
     text = TRACING.read_text()

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -10,9 +9,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elemdiff import RunConfig, block_basis, enumerate_multi_indices, enumerate_trees
 from elemdiff.cli import main
-from elemdiff.relations import MAX_ROW_VERTICES
+from elemdiff.config import RunConfig
+from elemdiff.multiindex import enumerate_multi_indices
+from elemdiff.relations import MAX_ROW_VERTICES, block_basis
+from elemdiff.trees import enumerate_trees
 
 
 def run_cli(capsys, *argv):
@@ -486,7 +487,8 @@ def test_block_basis_inconclusive_block_nulls_the_total(capsys, monkeypatch):
 
     def inconclusive(*args):
         record = real(*args)
-        return dataclasses.replace(record, upper=record.lower + 1)
+        return relations.BlockCertificate(record.key, record.lower, record.lower + 1,
+                                          record.pivots, record.relations)
 
     monkeypatch.setattr(relations, "_certify_block", inconclusive)
     code, out, _ = run_cli(capsys, "block", "basis", "--dim", "1", "--n", "3",
@@ -509,7 +511,8 @@ def test_dim_w_inconclusive_block_makes_an_inconclusive_artifact(capsys, monkeyp
     def one_block_apart(*args):
         record = real(*args)
         if not records:
-            record = dataclasses.replace(record, upper=record.upper + 1)
+            record = relations.BlockCertificate(record.key, record.lower, record.upper + 1,
+                                                record.pivots, record.relations)
         records.append(record)
         return record
 

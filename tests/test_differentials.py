@@ -4,25 +4,12 @@ import sys
 
 import pytest
 
-from elemdiff import (
-    MismatchError,
-    PreconditionError,
-    Tree,
-    add,
-    chain_tree,
-    enumerate_multi_indices,
-    enumerate_trees,
-    eval_multiindex,
-    eval_tree,
-    find_sigma,
-    project_arities,
-    relabel,
-    retarget,
-    standard_identity_tree_terms,
-    truncate,
-)
-from elemdiff.differentials import standard_identity_terms
-from elemdiff.jets import Jet, monomials_up_to
+from elemdiff.differentials import (eval_multiindex, eval_tree, standard_identity_terms,
+                                    standard_identity_tree_terms)
+from elemdiff.errors import MismatchError, PreconditionError
+from elemdiff.jets import Jet, add, monomials_up_to, truncate
+from elemdiff.multiindex import enumerate_multi_indices, project_arities
+from elemdiff.trees import Tree, chain_tree, enumerate_trees, find_sigma, relabel, retarget
 from oracles import (
     all_permutations,
     corolla_witness_family,

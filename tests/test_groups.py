@@ -3,21 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from elemdiff import (
-    CharacterRow,
-    Permutation,
-    PreconditionError,
-    character_table,
-    conjugacy_classes,
-    constraint_scan,
-    coset_character,
-    reduced_tree_character,
-    relabel,
-    sign_natural_character,
-    subgroup_classes,
-    tree_fixed_character,
-)
-from elemdiff import enumerate_trees
+from elemdiff.errors import PreconditionError
+from elemdiff.groups import (CharacterRow, character_table, conjugacy_classes, constraint_scan,
+                             coset_character, reduced_tree_character, sign_natural_character,
+                             subgroup_classes, tree_fixed_character)
+from elemdiff.trees import Permutation, enumerate_trees, relabel
 from oracles import all_permutations, point_stabilizer_class
 
 

@@ -4,21 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from elemdiff import (
-    Jet,
-    MismatchError,
-    PreconditionError,
-    add,
-    assemble,
-    component,
-    monomial_basis_size,
-    monomials_up_to,
-    mul_scalar,
-    multi_partial,
-    partial,
-    random_jet_tuple,
-    truncate,
-)
+from elemdiff.errors import MismatchError, PreconditionError
+from elemdiff.jets import (Jet, add, assemble, component, monomial_basis_size, monomials_up_to,
+                           mul_scalar, multi_partial, partial, random_jet_tuple, truncate)
 from oracles import eval_at_zero, monomial_jet, random_jet, scale
 
 

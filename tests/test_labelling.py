@@ -5,20 +5,11 @@ import sys
 
 import pytest
 
-from elemdiff import (
-    LabelledObject,
-    MismatchError,
-    PreconditionError,
-    RunConfig,
-    SizeLimitError,
-    canonicalize_labelled,
-    chain_tree,
-    dimension_labelled,
-    enumerate_labelled,
-    enumerate_trees,
-    relabel,
-)
-from elemdiff.trees import ROOT
+from elemdiff.config import RunConfig
+from elemdiff.errors import MismatchError, PreconditionError, SizeLimitError
+from elemdiff.labelling import LabelledObject, canonicalize_labelled, enumerate_labelled
+from elemdiff.relations import dimension_labelled
+from elemdiff.trees import ROOT, chain_tree, enumerate_trees, relabel
 from oracles import (all_colourings, all_permutations, eval_tree_labelled, identify,
                      multiplicities, random_jet)
 
@@ -254,7 +245,7 @@ def test_canonical_representative_evaluates_like_the_original():
 
 
 def test_dimension_all_ones_matches_plain():
-    from elemdiff import dimension_w
+    from elemdiff.relations import dimension_w
     lab = dimension_labelled(2, 3, (1, 1, 1), config=CFG)
     plain = dimension_w(2, 3, config=CFG)
     assert lab.certified and plain.certified

@@ -4,16 +4,9 @@ import random
 
 import pytest
 
-from elemdiff import (
-    MultiIndex,
-    Permutation,
-    PreconditionError,
-    enumerate_multi_indices,
-    enumerate_trees,
-    project_arities,
-    relabel,
-    trees_with_arities,
-)
+from elemdiff.errors import PreconditionError
+from elemdiff.multiindex import MultiIndex, enumerate_multi_indices, project_arities
+from elemdiff.trees import Permutation, enumerate_trees, relabel, trees_with_arities
 from oracles import all_permutations, relabel_multi_index
 
 

@@ -4,23 +4,13 @@ import random
 
 import pytest
 
-from elemdiff import (
-    MismatchError,
-    Permutation,
-    PreconditionError,
-    Tree,
-    canonicalize_labelled,
-    chain_tree,
-    enumerate_trees,
-    find_sigma,
-    relabel,
-    retarget,
-    retarget_edges,
-    trees_with_arities,
-)
+from elemdiff.errors import MismatchError, PreconditionError
+from elemdiff.labelling import canonicalize_labelled
 from elemdiff.multiindex import enumerate_multi_indices, project_arities
 from elemdiff.relations import _orbit_rows
-from elemdiff.trees import _reaches_root, parent_lists
+from elemdiff.trees import (Permutation, Tree, _reaches_root, chain_tree, enumerate_trees,
+                            find_sigma, parent_lists, relabel, retarget, retarget_edges,
+                            trees_with_arities)
 from oracles import all_permutations, graft_sum, is_linear
 
 # Cayley: n^(n-1) labelled rooted trees on n vertices.
