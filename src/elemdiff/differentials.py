@@ -42,7 +42,7 @@ def eval_tree(tree: Tree, inputs, degree: int | None = None) -> Jet:
     if len(inputs) != tree.size:
         raise MismatchError(f"{tree.size} vertices but {len(inputs)} inputs")
     d = _check_vector_jets(inputs)
-    widest = max(map(len, tree.children_map.values()))
+    widest = max(map(len, tree.child_lists[1:]))
     if d ** widest > MAX_COMPONENT_ASSIGNMENTS:
         raise SizeLimitError(f"d ** k = {d ** widest} products at a vertex with k = {widest} "
                              f"children exceed {MAX_COMPONENT_ASSIGNMENTS}")

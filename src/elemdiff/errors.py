@@ -26,7 +26,9 @@ class ReadOnly:
     """Base of the package's immutable values and records: each sets its
     `__slots__` once, in `__init__`, through `object.__setattr__`, and any
     later assignment or deletion raises AttributeError.  Its `__init__`
-    takes the slots in order, which copying, pickling and `repr` rely on."""
+    takes the slots in order, which copying, pickling and `repr` rely on;
+    a class that also stores what it derives says so in its own
+    `__reduce__`."""
 
     __slots__ = ()
 
@@ -38,8 +40,7 @@ class ReadOnly:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, whose parameters are the slots
-        return type(self), tuple(getattr(self, name) for name in self.__slots__
-                                 if name != "__dict__")
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"

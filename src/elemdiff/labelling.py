@@ -53,7 +53,7 @@ class LabelledObject(ReadOnly):
 def _lex_min(tree: Tree, labels) -> tuple:
     """(parents, colours) of the lex-min member of (tree, labels)'s orbit; each
     subtree, leaves first, is keyed by a walk over its sorted children."""
-    children = tree.children_map
+    children = tree.child_lists
     ordered, key = {}, {}
     for v in reversed(tree.order):  # children first; the root, and its walk, last
         ordered[v] = sorted(children[v], key=key.__getitem__)

@@ -13,9 +13,10 @@ Soundness layout:
     per component assignment of its vertices, built at most once per
     certificate, and a relation holds iff the combination of its rows'
     polynomials vanishes, in integers: `_scaled_combination`, the one exact
-    check, scales by the lcm of the denominators once.  The columns and those
-    polynomials come from one Butcher recursion (`_butcher`), over integer
-    lists and over sparse polynomials;
+    check, scales by the lcm of the denominators once.  The columns come
+    from Butcher's recursion over integer lists (`_column_entries`); a
+    row's polynomial is written out key by key (`_row_polynomial`), one
+    monomial per component assignment, with no polynomial products;
   * upper bound = rows - verified independent relations.  `_Bounds` states
     the one status rule: certified iff the two bounds meet, and then the
     dimension is their common value; otherwise it is inconclusive, with no
@@ -50,8 +51,9 @@ from .errors import (MismatchError, PreconditionError, ReadOnly, SizeLimitError,
                      SpanInstabilityError)
 from .jets import monomial_basis_size, monomials_up_to, random_jet_tuple
 from .labelling import enumerate_labelled
-from .multiindex import enumerate_multi_indices, project_arities
-from .trees import Tree, Permutation, enumerate_trees, relabel, trees_with_arities
+from .multiindex import enumerate_multi_indices
+from .trees import (Permutation, compose_with, enumerate_trees, relabel,
+                    trees_with_arities)
 
 # ---------------------------------------------------------------------------
 # rows: (Tree, labels) with labels[v-1] = the input slot vertex v reads
@@ -83,7 +85,7 @@ def _block_key(row):
     that colour; ((a_1,), ..., (a_n,)) for a plain row of arities a."""
     tree, labels = row
     by_colour = [[] for _ in range(max(labels))]
-    for a, c in zip(project_arities(tree).arities, labels):
+    for a, c in zip(map(tree.parents.count, tree.vertices), labels):
         by_colour[c - 1].append(a)
     return tuple(tuple(sorted(arities)) for arities in by_colour)
 
@@ -159,51 +161,54 @@ def build_matrix(rows, d: int, stream: JetStream, tuples: int) -> EvalMatrix:
     return EvalMatrix(rows=rows, d=d, data=_column_entries(rows, jets, d), tuples=jets)
 
 
-def _butcher(tree: Tree, labels, d: int, factor, times, plus) -> list:
-    """The row's value at the origin, one ring element per output component,
-    by Butcher's recursion F(T)(0) = f_root^(k)(0)[F(T_1)(0), ..., F(T_k)(0)]
-    over the root's subtrees T_i, bottom-up.  A vertex's value in component
-    k sums, over its children's components js, factor(label, k, gamma) times
-    the children's values in components js, where gamma counts js per
-    component and factor stands for gamma! [x^gamma] f_label(k); so a vertex
-    with m children costs d^(m+1) products.  A leaf's value is its factors.
-    `plus` may reuse its first argument, always a fresh product.  It walks
-    `Tree.order` backwards, with no recursion."""
-    values = {}
-    for v in reversed(tree.order):
-        label, kids = labels[v - 1], [values.pop(c) for c in tree.children(v)]
-        if not kids:
-            gamma = (0,) * d  # shared by d memo keys, not d tuples of length d
-            values[v] = [factor(label, k, gamma) for k in range(1, d + 1)]
-            continue
-        out = values[v] = [None] * d
-        for js in itertools.product(range(d), repeat=len(kids)):
-            gamma = tuple(map(js.count, range(d)))
-            below = functools.reduce(times, map(operator.getitem, kids, js))
-            for k in range(d):
-                term = times(factor(label, k + 1, gamma), below)
-                out[k] = term if out[k] is None else plus(out[k], term)
-    return values[tree.root]
+@functools.cache
+def _assignments(d: int, m: int) -> tuple:
+    """(js, gamma) for each assignment js of components 0..d-1 to m
+    children, gamma counting js per component."""
+    return tuple((js, tuple(map(js.count, range(d))))
+                 for js in itertools.product(range(d), repeat=m))
 
 
 def _column_entries(rows, tuples, d):
     """Value at the origin of every row on every tuple of integer tables, one
-    column per output component, in exact Python integers: `_butcher` over
-    lists with one entry per tuple, each factor computed on first use."""
+    column per output component, in exact Python integers, by Butcher's
+    recursion F(T)(0) = f_root^(k)(0)[F(T_1)(0), ..., F(T_k)(0)] over the
+    root's subtrees T_i, bottom-up along `Tree.order`.  A value is a list
+    with one entry per tuple.  A vertex's value in component k sums, over
+    its children's components js, factor(label, k, gamma) times the
+    children's values in components js, where gamma counts js per component
+    and factor is gamma! [x^gamma] f_label(k), computed on first use; so a
+    vertex with m children costs d^(m+1) products.  A leaf's value is its
+    factors."""
 
     @functools.cache
     def factor(label, k, gamma):
         w = math.prod(map(math.factorial, filter(None, gamma)))
         return [tup[label - 1][k - 1][gamma] * w for tup in tuples]
 
+    @functools.cache
+    def leaf(label):
+        return [factor(label, k, (0,) * d) for k in range(1, d + 1)]
+
     def times(a, b):
         return list(map(operator.mul, a, b))
 
-    def plus(a, b):
-        return list(map(operator.add, a, b))
-
-    return [[x for column in zip(*_butcher(tree, labels, d, factor, times, plus))
-             for x in column] for tree, labels in rows]
+    entries = []
+    for tree, labels in rows:
+        values = {}
+        for v in reversed(tree.order):
+            label, kids = labels[v - 1], [values.pop(c) for c in tree.children(v)]
+            if not kids:
+                values[v] = leaf(label)
+                continue
+            out = values[v] = [None] * d
+            for js, gamma in _assignments(d, len(kids)):
+                below = functools.reduce(times, map(operator.getitem, kids, js))
+                for k in range(d):
+                    term = times(factor(label, k + 1, gamma), below)
+                    out[k] = term if out[k] is None else list(map(operator.add, out[k], term))
+        entries.append([x for column in zip(*values[tree.root]) for x in column])
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -459,35 +464,54 @@ def _layer_ranks(d: int, weights, total: int):
     return tables[0][0][total], rank
 
 
-# `_row_polynomial`'s factor, one memo for every row: `_butcher`'s `plus`
-# mutates only fresh products, so a cached factor is never mutated
 @functools.cache
-def _monomial_factor(label, k, gamma) -> dict:
-    return {((label, sum(gamma), gamma, k),): math.prod(map(math.factorial, gamma))}
+def _vertex_items(d: int, tag: tuple, components: tuple) -> tuple:
+    """The d items tag + (gamma, j) of a vertex, one per component j, whose
+    children take `components`, and gamma!; gamma counts them per component."""
+    gamma = tuple(map(components.count, range(1, d + 1)))
+    return (tuple((*tag, gamma, j) for j in range(1, d + 1)),
+            math.prod(map(math.factorial, gamma)))
 
 
 def _row_polynomial(row, d: int) -> dict:
     """A (tree, labels) row's value at the origin as a polynomial in the
-    inputs' jet coefficients, keyed (output component, layer tuple).  It runs
-    `_butcher` over sparse polynomials: a monomial is a tuple of (label,
-    |gamma|, gamma, component) factors, one per vertex reading [x^gamma] of
-    that component of its input, with coefficient gamma!; a product
-    concatenates monomials.  A root monomial's factors, sorted, are its
-    (gamma, component) items slot by slot in item order: a layer tuple."""
-
-    def times(p, q):
-        return {a + b: x * y for a, x in p.items() for b, y in q.items()}
-
-    def plus(p, q):
-        for mono, c in q.items():
-            p[mono] = p.get(mono, 0) + c
-        return p
-
+    inputs' jet coefficients, keyed (output component, layer tuple), written
+    out one monomial per component assignment of the vertices.  Vertex v
+    takes component j_v and reads [x^gamma_v] of component j_v of input
+    labels[v-1], where gamma_v counts v's children's components; the
+    coefficient is the product of the gamma_v!.  The key is the root's
+    component, then the (gamma_v, j_v) items sorted by (label, |gamma_v|,
+    gamma_v, j_v): a layer tuple.  Vertices take their components leaves
+    first, so assignments share prefixes and gamma_v is known at v's turn.
+    With distinct labels each assignment has its own key, whose items are
+    in label order."""
+    tree, labels = row
+    n = tree.size
+    plain = len(set(labels)) == n
+    partial = [([None] * n, 1)]     # (items by vertex, coefficient) so far
+    for v in reversed(tree.order):
+        kids = tree.children(v)
+        tag = () if plain else (labels[v - 1], len(kids))
+        grown = []
+        for items, c in partial:
+            mine, w = _vertex_items(d, tag, tuple([items[k - 1][-1] for k in kids]))
+            w *= c
+            for j, item in enumerate(mine):
+                if j:               # the first component takes the list itself
+                    items = items.copy()
+                items[v - 1] = item
+                grown.append((items, w))
+        partial = grown
+    root = tree.root - 1
     poly = {}
-    for k, value in enumerate(_butcher(*row, d, _monomial_factor, times, plus), start=1):
-        for mono, c in value.items():
-            key = (k, tuple((gamma, j) for _, _, gamma, j in sorted(mono)))
-            poly[key] = poly.get(key, 0) + c
+    if plain:
+        finish = compose_with(tuple(sorted(tree.vertices, key=lambda v: labels[v - 1])))
+        for items, c in partial:
+            poly[items[root][-1], finish(items)] = c
+        return poly
+    for items, c in partial:
+        key = (items[root][-1], tuple(item[2:] for item in sorted(items)))
+        poly[key] = poly.get(key, 0) + c
     return poly
 
 

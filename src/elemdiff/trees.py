@@ -8,7 +8,6 @@ lex-min member, which `labelling` builds.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import MismatchError, PreconditionError, ReadOnly, SizeLimitError
@@ -107,27 +106,32 @@ class Permutation(ReadOnly):
         return sum(1 for v in range(1, self.degree + 1) if self(v) == v)
 
 
-def _reaches_root(parents) -> bool:
-    """True iff every vertex of a parent list walks down to the root, i.e.
-    the list has no cycle; every parent must lie in 0..n.  A walk stops at
-    the first vertex known to reach the root, so each vertex is walked
-    through once."""
-    reached = {ROOT}
-    for v in range(1, len(parents) + 1):
-        path = set()
-        while v not in reached:
-            if v in path:
-                return False
-            path.add(v)
-            v = parents[v - 1]
-        reached |= path
-    return True
+def _layout(parents):
+    """(child lists, breadth-first order) of a parent tuple over 0..n with
+    one root, or None if it has a cycle.  Entry v of the child lists holds
+    vertex v's children ascending, and entry 0 the root; the order lists the
+    vertices from the root, children ascending.  Every vertex is the child
+    of one entry, so the walk from the root visits a vertex at most once,
+    and it misses exactly the vertices on or above a cycle: the tuple is a
+    tree iff the walk reaches all n vertices.  Each parent is read once."""
+    lists = [[] for _ in range(len(parents) + 1)]
+    for v, p in enumerate(parents, start=1):
+        lists[p].append(v)
+    order = list(lists[ROOT])
+    for v in order:
+        order += lists[v]
+    if len(order) != len(parents):
+        return None
+    return tuple(map(tuple, lists)), tuple(order)
 
 
 class Tree(ReadOnly):
-    """Rooted tree on {1..n}: parents[v-1] is vertex v's parent, 0 at the root."""
+    """Rooted tree on {1..n}: parents[v-1] is vertex v's parent, 0 at the
+    root.  It is laid out once, when it is made: `child_lists[v]` holds v's
+    children ascending (entry 0 the root), and `order` the vertices
+    breadth-first from the root, children ascending."""
 
-    __slots__ = ("parents", "__dict__")     # the cached properties live in __dict__
+    __slots__ = ("parents", "root", "child_lists", "order")
 
     def __init__(self, parents):
         parents = tuple(parents)
@@ -138,9 +142,17 @@ class Tree(ReadOnly):
             raise PreconditionError(f"parents must lie in 0..{n}: {parents!r}")
         if parents.count(ROOT) != 1:
             raise PreconditionError(f"need exactly one root, got {parents.count(ROOT)}")
-        if not _reaches_root(parents):
+        layout = _layout(parents)
+        if layout is None:
             raise PreconditionError("parent list has a cycle")
         object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "root", layout[1][0])
+        object.__setattr__(self, "child_lists", layout[0])
+        object.__setattr__(self, "order", layout[1])
+
+    def __reduce__(self):
+        # the parent tuple alone makes the tree; the rest is its layout
+        return Tree, (self.parents,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -154,28 +166,8 @@ class Tree(ReadOnly):
     def vertices(self) -> range:
         return range(1, self.size + 1)
 
-    @cached_property
-    def root(self) -> int:
-        return self.parents.index(ROOT) + 1
-
-    @cached_property
-    def children_map(self) -> dict:
-        cm = {v: [] for v in self.vertices}
-        for v, p in enumerate(self.parents, start=1):
-            if p != ROOT:
-                cm[p].append(v)
-        return {v: tuple(ws) for v, ws in cm.items()}
-
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        """Vertices breadth-first from the root, children ascending."""
-        order = [self.root]
-        for v in order:
-            order.extend(self.children_map[v])
-        return tuple(order)
-
     def children(self, v: int) -> tuple[int, ...]:
-        return self.children_map[v]
+        return self.child_lists[v]
 
     @property
     def size(self) -> int:
@@ -186,23 +178,49 @@ class Tree(ReadOnly):
         return tuple(sorted((p, v) for v, p in enumerate(self.parents, start=1) if p != ROOT))
 
 
+def _acyclic_lists(n: int, root: int, caps=None) -> list:
+    """The parent lists on {1..n} with this root and no cycle, ascending.
+    Vertices take parents in order 1..n, each parent p at most caps[p]
+    times if `caps` is given, and a choice is pruned when it closes a cycle:
+    the walk down from the new parent, through vertices that have parents
+    already, comes back to the vertex itself.  Every cycle is closed by the
+    last of its vertices to get a parent, so every cycle is pruned."""
+    prefixes = [()]
+    for v in range(1, n + 1):
+        if v == root:
+            prefixes = [pre + (ROOT,) for pre in prefixes]
+            continue
+        grown = []
+        for pre in prefixes:
+            for p in (range(1, n + 1) if caps is None
+                      else [p for p in caps if pre.count(p) < caps[p]]):
+                w = p
+                while ROOT < w < v:     # w already has its parent
+                    w = pre[w - 1]
+                if w != v:
+                    grown.append(pre + (p,))
+        prefixes = grown
+    return prefixes
+
+
 def parent_lists(n: int, multisets=None):
     """Parent lists (parent of 1, ..., parent of n; 0 at the root) of the
     rooted trees on {1..n}, roots ascending, then lists ascending.  For each
     root the non-root vertices' parents run over {1..n}^(n-1), or, given
-    `multisets` of parents, over their distinct arrangements only."""
+    `multisets` of parents, over their distinct arrangements only; lists
+    with a cycle are never made."""
     if n < 1:
         raise PreconditionError("need n >= 1")
     if n > MAX_ENUM_VERTICES:
         raise SizeLimitError(f"n={n} exceeds the enumeration guard ({MAX_ENUM_VERTICES})")
-    arranged = None if multisets is None else sorted(
-        {p for m in multisets for p in itertools.permutations(m)})
+    caps = None if multisets is None else [
+        {p: m.count(p) for p in sorted(set(m))} for m in set(map(tuple, multisets))]
     for root in range(1, n + 1):
-        for others in (itertools.product(range(1, n + 1), repeat=n - 1)
-                       if arranged is None else arranged):
-            parents = others[:root - 1] + (ROOT,) + others[root - 1:]
-            if _reaches_root(parents):
-                yield parents
+        if caps is None:
+            yield from _acyclic_lists(n, root)
+        else:
+            yield from sorted(itertools.chain.from_iterable(
+                _acyclic_lists(n, root, c) for c in caps))
 
 
 def enumerate_trees(n: int) -> list[Tree]:
@@ -213,8 +231,8 @@ def enumerate_trees(n: int) -> list[Tree]:
 def trees_with_arities(vectors) -> list[Tree]:
     """The rooted trees on {1..n} whose arity vector (vertex v's child count
     at v - 1) is one of `vectors`, in `enumerate_trees` order.  Vertex v
-    parents a_v vertices, so each root tries only the (n - 1)!/prod a_v!
-    arrangements of that parent multiset; a vector has as many trees."""
+    parents a_v vertices, so each root walks only the arrangements of that
+    parent multiset; a vector has (n - 1)!/prod a_v! trees."""
     vectors = [tuple(a) for a in vectors]
     if not vectors:
         return []
@@ -254,8 +272,7 @@ def retarget(tree: Tree, sigma: Permutation) -> Tree | None:
     for v, p in enumerate(tree.parents, start=1):
         if p != ROOT:
             parents[sigma(v) - 1] = p
-    parents = tuple(parents)
-    return Tree(parents) if _reaches_root(parents) else None
+    return None if _layout(parents) is None else Tree(parents)
 
 
 def find_sigma(src: Tree, dst: Tree) -> Permutation:

@@ -5,8 +5,9 @@ Each one computes by a route of its own, so an agreement is evidence:
 
   * closed forms for a tree's value: `monomial_term` on monomial inputs,
     `tree_polynomial` on short sums of them, and `tree_value_at_zero` on
-    general jets, a sum over component assignments that shares nothing
-    with Butcher's recursion in `relations._butcher`;
+    general jets, a sum over component assignments that shares no code
+    with Butcher's recursion in `relations._column_entries` or with
+    `relations._row_polynomial`;
   * the pre-Lie product on jets, the right-nested chains and the
     alternating sum over them, against grafting and against
     `standard_identity_tree_terms`;
@@ -14,6 +15,8 @@ Each one computes by a route of its own, so an agreement is evidence:
     variables;
   * membership in the span of a certificate's relations, and the value of
     one evaluation-matrix entry recomputed from scratch;
+  * the parent lists of the rooted trees on {1..n} by rejection, every
+    candidate filtered by a walk to the root;
   * small constructions: all of S_n, grafting sums, the linear trees,
     relabelled multi-indices, every colouring of n vertices in ell
     colours, colour pushes, the point-stabiliser class, scaled jets and
@@ -53,6 +56,35 @@ def graft_sum(scion: Tree, stock: Tree) -> list[Tree]:
     k = stock.size
     return [Tree(stock.parents + tuple(v if p == ROOT else k + p for p in scion.parents))
             for v in stock.vertices]
+
+
+def _reaches_root(parents) -> bool:
+    """True iff every vertex of a parent list walks down to the root, i.e.
+    the list has no cycle; every parent must lie in 0..n."""
+    reached = {ROOT}
+    for v in range(1, len(parents) + 1):
+        path = set()
+        while v not in reached:
+            if v in path:
+                return False
+            path.add(v)
+            v = parents[v - 1]
+        reached |= path
+    return True
+
+
+def acyclic_parent_lists(n: int, multisets=None) -> list:
+    """`trees.parent_lists` by rejection: per root, ascending, every
+    candidate list of the other vertices' parents, over {1..n}^(n-1) or the
+    distinct arrangements of the parent `multisets`, kept iff it has no
+    cycle."""
+    arranged = None if multisets is None else sorted(
+        {p for m in multisets for p in itertools.permutations(m)})
+    return [parents for root in range(1, n + 1)
+            for others in (itertools.product(range(1, n + 1), repeat=n - 1)
+                           if arranged is None else arranged)
+            for parents in [others[:root - 1] + (ROOT,) + others[root - 1:]]
+            if _reaches_root(parents)]
 
 
 def is_linear(tree: Tree) -> bool:

@@ -247,7 +247,7 @@ def _profile_id(value):
 
 @pytest.mark.parametrize("d,n,profile", [
     (1, 4, None), (2, 3, None), (3, 3, None), (2, 3, (2, 1)), (2, 3, (3,)),
-    (3, 4, None), (2, 4, (2, 2)),
+    (3, 4, None), (2, 4, (2, 2)), (1, 5, None), (3, 4, (2, 1, 1)), (2, 3, (1, 1, 1)),
 ], ids=_profile_id)
 def test_layer_vector_is_tree_value_at_zero(d, n, profile):
     # each row polynomial, read as a polynomial in the jet coefficients and
@@ -266,6 +266,14 @@ def test_layer_vector_is_tree_value_at_zero(d, n, profile):
                 got[comp - 1] += q
             want = tree_value_at_zero(tree, {v: jets[labels[v - 1] - 1] for v in tree.vertices})
             assert tuple(got) == want
+
+
+def test_plain_row_polynomial_has_one_monomial_per_assignment():
+    # distinct labels give every component assignment a key of its own
+    for n in range(1, 5):
+        for d in range(1, 4):
+            for tree in enumerate_trees(n):
+                assert len(_row_polynomial(_labelled(tree), d)) == d ** n
 
 
 @pytest.mark.parametrize("profile", [(2, 1), (2, 2), (3, 1)], ids=_profile_id)

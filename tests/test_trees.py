@@ -8,10 +8,10 @@ from elemdiff.errors import MismatchError, PreconditionError
 from elemdiff.labelling import canonicalize_labelled
 from elemdiff.multiindex import enumerate_multi_indices, project_arities
 from elemdiff.relations import _orbit_rows
-from elemdiff.trees import (Permutation, Tree, _reaches_root, chain_tree, enumerate_trees,
+from elemdiff.trees import (Permutation, Tree, _layout, chain_tree, enumerate_trees,
                             find_sigma, parent_lists, relabel, retarget, retarget_edges,
                             trees_with_arities)
-from oracles import all_permutations, graft_sum, is_linear
+from oracles import acyclic_parent_lists, all_permutations, graft_sum, is_linear
 
 # Cayley: n^(n-1) labelled rooted trees on n vertices.
 TREE_COUNTS = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
@@ -124,7 +124,7 @@ def test_validator_accepts_exactly_the_cayley_trees():
 
 
 class _CountingParents(tuple):
-    """A parent list that counts its lookups."""
+    """A parent list that counts its reads, by index or by iteration."""
 
     lookups = 0
 
@@ -132,18 +132,41 @@ class _CountingParents(tuple):
         self.lookups += 1
         return super().__getitem__(i)
 
+    def __iter__(self):
+        for p in super().__iter__():
+            self.lookups += 1
+            yield p
 
-def test_reaches_root_walks_each_vertex_once():
+
+def test_layout_reads_each_parent_once():
     # a chain with its leaf at vertex 1: a walk from each vertex down to the
-    # root takes quadratically many lookups in all; stopping where an
-    # earlier walk reached the root takes one per vertex
+    # root takes quadratically many lookups in all; the breadth-first layout
+    # that checks for cycles reads each parent once
     n = 2000
     chain = _CountingParents((*range(2, n + 1), 0))
-    assert _reaches_root(chain)
+    child_lists, order = _layout(chain)
     assert chain.lookups == n
-    assert not _reaches_root((0, 3, 4, 2))  # a cycle off the root
-    assert not _reaches_root((0, 1, 3))     # a self-loop
-    assert _reaches_root((0, 1, 1, 3))
+    assert order == tuple(range(n, 0, -1))
+    assert Tree(chain).order == order
+    for parents in ((0, 3, 4, 2),   # a cycle off the root
+                    (0, 1, 3)):     # a self-loop
+        assert _layout(parents) is None
+        with pytest.raises(PreconditionError):
+            Tree(parents)
+    assert _layout((0, 1, 1, 3)) == (((1,), (2, 3), (), (4,), ()), (1, 2, 3, 4))
+    # a retarget that closes a cycle gives no tree
+    assert retarget(chain_tree([1, 2, 3]), Permutation.from_cycles(3, (2, 3))) is None
+
+
+def test_parent_lists_are_the_acyclic_candidates_in_order():
+    # the rejection-free walk against the filter over all n^(n-1) candidates
+    # per root, plain and for every arity vector's parent multiset
+    for n in range(1, 7):
+        assert list(parent_lists(n)) == acyclic_parent_lists(n)
+        for mi in enumerate_multi_indices(n):
+            multiset = [tuple(v for v, a in enumerate(mi.arities, start=1) for _ in range(a))]
+            assert (list(parent_lists(n, multiset))
+                    == acyclic_parent_lists(n, multiset)), mi.arities
 
 
 def test_order_is_breadth_first_with_children_ascending():

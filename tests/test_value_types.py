@@ -40,6 +40,17 @@ def test_equal_fields_give_equal_values_with_the_field_tuple_hash(name):
     assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
 
 
+def test_a_tree_is_remade_from_its_parents_alone():
+    # the layout a tree stores is derived, so copies, pickles and the repr
+    # name the parent tuple only
+    t = Tree((0, 1, 1))
+    assert repr(t) == "Tree((0, 1, 1))"
+    assert repr(LabelledObject(t, (1, 2, 2))) == "LabelledObject(Tree((0, 1, 1)), (1, 2, 2))"
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert (twin.parents, twin.root, twin.child_lists, twin.order) == (
+            (0, 1, 1), 1, ((1,), (2, 3), (), ()), (1, 2, 3))
+
+
 def _frozen():
     """One instance of every read-only class."""
     cert = dimension_w(1, 3)    # 9 trees span 6 at d = 1: it holds relations
